@@ -8,7 +8,7 @@
 //! is pure scheduling + memoization win.
 
 use acr_bench::scaled_network;
-use acr_sim::{ConvergeEngine, DerivArena, RunOptions, ShardMode, Simulator};
+use acr_sim::{ConvergeEngine, DerivArena, RunOptions, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
 
@@ -18,7 +18,6 @@ fn bench_converge_engines(c: &mut Criterion) {
     let dense_only = RunOptions {
         engine: ConvergeEngine::Dense,
         warm: None,
-        shard: ShardMode::Off,
     };
     // Hottest prefix = the one whose dense run recomputes the most
     // router-rounds; the worst case for the dense engine and the widest
@@ -41,11 +40,7 @@ fn bench_converge_engines(c: &mut Criterion) {
         ("dense", ConvergeEngine::Dense),
         ("sparse", ConvergeEngine::Sparse),
     ] {
-        let opts = RunOptions {
-            engine,
-            warm: None,
-            shard: ShardMode::Off,
-        };
+        let opts = RunOptions { engine, warm: None };
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut arena = DerivArena::new();

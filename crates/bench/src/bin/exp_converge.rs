@@ -30,10 +30,7 @@ use acr_bench::{
 };
 use acr_cfg::NetworkConfig;
 use acr_core::{OperatorSet, RepairConfig, RepairEngine, RepairOutcome, RepairReport};
-use acr_sim::{
-    resolve_threads, ConvergeEngine, ConvergeWork, DerivArena, PolicyMemo, RunOptions, ShardMode,
-    Simulator,
-};
+use acr_sim::{ConvergeEngine, ConvergeWork, DerivArena, PolicyMemo, RunOptions, Simulator};
 use acr_topo::{gen, Topology};
 use acr_workloads::fig2::fig2_incident;
 use acr_workloads::netgen;
@@ -55,13 +52,7 @@ struct EngineRun {
 fn run_engine(load: &SimLoad, engine: ConvergeEngine) -> (EngineRun, DerivArena, String) {
     let sim = Simulator::new(&load.topo, &load.cfg);
     let mut arena = DerivArena::new();
-    // Sharding off: this table is a pure dense-vs-sparse engine
-    // comparison; the sharded runner gets its own part below.
-    let opts = RunOptions {
-        engine,
-        warm: None,
-        shard: ShardMode::Off,
-    };
+    let opts = RunOptions { engine, warm: None };
     let t = Instant::now();
     let (outcomes, work) = sim.run_prefixes_opts(&sim.universe(), &mut arena, &opts);
     let wall = t.elapsed();
@@ -99,7 +90,7 @@ fn sim_loads(smoke: bool) -> Vec<SimLoad> {
 }
 
 /// Scale-frontier workloads: healthy (converging) networks sized for the
-/// interning + sharding + memo-reuse comparison. Dense never runs here —
+/// interning + memo-reuse comparison. Dense never runs here —
 /// the 200-backbone WAN's line diameter alone makes it infeasible.
 fn scale_loads(smoke: bool) -> Vec<SimLoad> {
     if smoke {
@@ -276,92 +267,44 @@ fn main() {
     rule(header.len());
     println!("outcomes + arenas asserted equal per workload; rc = router recomputations\n");
 
-    // ---- Part 1b: scale frontier — interning, sharding, memo reuse -----
+    // ---- Part 1b: scale frontier — interning and memo reuse -----------
     //
-    // Three runs per workload, all sparse:
-    //   cold    unsharded, fresh memo — exactly the PR 5 sparse engine's
-    //           policy-eval count (interning changes representation, not
-    //           which transfers are evaluated);
-    //   shard   sharded cold run — asserted byte-identical in outcomes
-    //           and arena, with the *same* eval count (workers start from
-    //           fresh memos and no hit can cross a prefix);
-    //   steady  unsharded, reusing the memo the sharded join merged back
-    //           (`absorb_worker`) after a no-change `begin_run` — how the
-    //           verifier actually revisits a committed base in the repair
-    //           loop. Fewer evals and less wall than cold, asserted.
+    // Two runs per workload, both sparse:
+    //   cold    fresh memo — exactly the plain sparse engine's policy-eval
+    //           count (interning changes representation, not which
+    //           transfers are evaluated);
+    //   steady  reusing the cold run's memo after a no-change
+    //           `begin_run` — how the verifier actually revisits a
+    //           committed base in the repair loop. Fewer evals and less
+    //           wall than cold, asserted.
     let scale_header = format!(
-        "{:<34} {:>8} {:>3} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9}",
-        "Scale workload",
-        "Prefixes",
-        "W",
-        "Cold",
-        "Shard",
-        "Steady",
-        "Evals c",
-        "Evals st",
-        "Hits st"
+        "{:<34} {:>8} {:>10} {:>10} {:>9} {:>9} {:>9}",
+        "Scale workload", "Prefixes", "Cold", "Steady", "Evals c", "Evals st", "Hits st"
     );
     println!("{scale_header}");
     rule(scale_header.len());
-    let workers = resolve_threads(0);
     let mut scale_rows = Vec::new();
     for load in scale_loads(smoke) {
         let sim = Simulator::new(&load.topo, &load.cfg);
         let universe = sim.universe();
-        let off = RunOptions {
+        let opts = RunOptions {
             engine: ConvergeEngine::Sparse,
             warm: None,
-            shard: ShardMode::Off,
-        };
-        let sharded = RunOptions {
-            engine: ConvergeEngine::Sparse,
-            warm: None,
-            // Explicit worker count: the scale comparison must exercise
-            // the sharded runner even under a `ACR_SHARD=0` CI pass.
-            shard: ShardMode::Workers(workers),
         };
 
-        let mut arena_cold = DerivArena::new();
-        let mut memo_cold = PolicyMemo::new();
-        memo_cold.begin_run(sim.sessions_arc(), &[]);
+        let mut arena = DerivArena::new();
+        let mut memo = PolicyMemo::new();
+        memo.begin_run(sim.sessions_arc(), &[]);
         let t = Instant::now();
-        let (out_cold, work_cold) =
-            sim.run_prefixes_with(&universe, &mut arena_cold, &off, &mut memo_cold);
+        let (out_cold, work_cold) = sim.run_prefixes_with(&universe, &mut arena, &opts, &mut memo);
         let wall_cold = t.elapsed();
-        drop(memo_cold);
 
-        let mut arena_shard = DerivArena::new();
-        let mut memo_shard = PolicyMemo::new();
-        memo_shard.begin_run(sim.sessions_arc(), &[]);
-        let t = Instant::now();
-        let (out_shard, work_shard) =
-            sim.run_prefixes_with(&universe, &mut arena_shard, &sharded, &mut memo_shard);
-        let wall_shard = t.elapsed();
-        assert_eq!(
-            out_cold, out_shard,
-            "sharded outcomes must be byte-identical ('{}')",
-            load.label
-        );
-        assert_eq!(
-            arena_cold, arena_shard,
-            "sharded arena must be byte-identical ('{}')",
-            load.label
-        );
-        assert_eq!(
-            work_cold.policy_evals, work_shard.policy_evals,
-            "sharding must not change which transfers are evaluated ('{}')",
-            load.label
-        );
-        drop(out_shard);
-        drop(arena_cold);
-
-        // Steady state: the sharded join absorbed every worker memo, so
-        // re-running unsharded against the same arena serves transfers
-        // from the memo instead of re-evaluating policies.
-        memo_shard.begin_run(sim.sessions_arc(), &[]);
+        // Steady state: re-running against the same arena serves
+        // transfers from the memo instead of re-evaluating policies.
+        memo.begin_run(sim.sessions_arc(), &[]);
         let t = Instant::now();
         let (out_steady, work_steady) =
-            sim.run_prefixes_with(&universe, &mut arena_shard, &off, &mut memo_shard);
+            sim.run_prefixes_with(&universe, &mut arena, &opts, &mut memo);
         let wall_steady = t.elapsed();
         assert_eq!(
             out_cold, out_steady,
@@ -387,12 +330,10 @@ fn main() {
             );
         }
         println!(
-            "{:<34} {:>8} {:>3} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9}",
+            "{:<34} {:>8} {:>10} {:>10} {:>9} {:>9} {:>9}",
             load.label,
             work_cold.prefixes,
-            workers,
             fmt_duration(wall_cold),
-            fmt_duration(wall_shard),
             fmt_duration(wall_steady),
             work_cold.policy_evals,
             work_steady.policy_evals,
@@ -402,21 +343,16 @@ fn main() {
             json::Obj::new()
                 .str("workload", &load.label)
                 .int("prefixes", work_cold.prefixes as usize)
-                .int("workers", workers)
                 .num("cold_wall_s", wall_cold.as_secs_f64())
-                .num("shard_wall_s", wall_shard.as_secs_f64())
                 .num("steady_wall_s", wall_steady.as_secs_f64())
                 .int("cold_policy_evals", work_cold.policy_evals as usize)
-                .int("shard_policy_evals", work_shard.policy_evals as usize)
                 .int("steady_policy_evals", work_steady.policy_evals as usize)
                 .int("steady_memo_hits", work_steady.memo_hits as usize)
-                .int("sharded_runs", work_shard.sharded_runs as usize)
-                .int("sharded_prefixes", work_shard.sharded_prefixes as usize)
                 .build(),
         );
     }
     rule(scale_header.len());
-    println!("sharded runs asserted byte-identical (outcomes, arena) with equal eval counts\n");
+    println!("steady-state reruns asserted outcome-identical with fewer policy evals\n");
 
     // ---- Part 2: end-to-end repair under the ambient engine ------------
     let net = standard_network();

@@ -103,13 +103,6 @@ fn repair_corpus(
                 threads: 1,
                 cache: None, // memoization would mask construction cost
                 delta,
-                // The symbolic screen only exists against a delta-
-                // compiled base, so leaving it ambient would move the
-                // validated/sym_validated buckets across exactly the
-                // axis this A/B holds fixed. Decisions are invariant
-                // either way (prop_sym_validate.rs); cost-bucket byte
-                // equality needs it pinned.
-                symbolic: false,
                 ..RepairConfig::default()
             },
         );

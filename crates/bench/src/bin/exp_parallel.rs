@@ -215,57 +215,9 @@ fn main() {
          cache-on rows list cold (population) and warm (steady-state) walks separately; \
          proxy = Σb_i / Σ⌈b_i/t⌉ over the baseline run's validation batches (host-independent)\n"
     );
-    // ---- Part 1b: sharded convergence on the scale-frontier WAN -------
-    // Worker sweep over the per-prefix sharded runner on wan(200,400) —
-    // 600 routers, 600 prefixes. Outcome/arena byte-identity across
-    // worker counts is asserted by `exp_converge` and `prop_shard_sim`;
-    // this table is the cost curve (on a single-core host the >1 rows
-    // measure honest thread overhead, not parallel speedup).
-    let big = acr_bench::scaled_network(200);
-    let sim = acr_sim::Simulator::new(&big.topo, &big.cfg);
-    let universe = sim.universe();
-    let mut shard_rows = Vec::new();
-    println!(
-        "sharded convergence, wan(200,400) ({} prefixes):",
-        universe.len()
-    );
-    let mut shard_base = Duration::ZERO;
-    for workers in [1usize, 2, 4] {
-        let opts = acr_sim::RunOptions {
-            engine: acr_sim::ConvergeEngine::Sparse,
-            warm: None,
-            shard: acr_sim::ShardMode::Workers(workers),
-        };
-        let mut arena = acr_sim::DerivArena::new();
-        let t = Instant::now();
-        let (_outcomes, work) = sim.run_prefixes_opts(&universe, &mut arena, &opts);
-        let wall = t.elapsed();
-        if workers == 1 {
-            shard_base = wall;
-        }
-        println!(
-            "  workers={workers}: {:>8.2}s ({:.2}x vs workers=1), {} policy evals",
-            wall.as_secs_f64(),
-            shard_base.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-            work.policy_evals,
-        );
-        shard_rows.push(
-            json::Obj::new()
-                .int("workers", workers)
-                .int("prefixes", universe.len())
-                .num("wall_s", wall.as_secs_f64())
-                .int("policy_evals", work.policy_evals as usize)
-                .int("sharded_runs", work.sharded_runs as usize)
-                .int("sharded_prefixes", work.sharded_prefixes as usize)
-                .build(),
-        );
-    }
-    println!();
-
     let path = write_bench_mode("parallel", smoke, |env| {
         env.int("incidents", incidents.len())
             .raw("sweep", &json::array(sweep_rows))
-            .raw("shard_sweep", &json::array(shard_rows))
     });
     println!("wrote {path}\n");
 

@@ -4,17 +4,10 @@
 //! The paper's Figure 1 measures resolving time over *single*-fault
 //! incidents; production outages compose. This harness generates the
 //! `acr-scenarios` corpus (multi-independent, interacting, cascading and
-//! partial-observability families) and scores five pluggable
+//! partial-observability families) and scores four pluggable
 //! [`RepairStrategy`] implementations on every scenario:
 //!
-//! - `acr-beam` — ACR with the multi-patch beam search (concrete
-//!   validation only: `symbolic` pinned off),
-//! - `acr-sym` — the same beam search with the selective symbolic
-//!   validator pinned on: one guarded convergence per candidate batch,
-//!   concretized per candidate through the SMT guard domain. Scored as
-//!   its own strategy so the per-family scoreboard shows the A/B —
-//!   decisions identical to `acr-beam` (asserted signature-for-
-//!   signature), strictly fewer concrete simulations in aggregate,
+//! - `acr-beam` — ACR with the multi-patch beam search,
 //! - `acr-single` — ACR restricted to single-site patches (ablation),
 //! - `metaprov` — the provenance baseline,
 //! - `aed` — the synthesis baseline (400-validation budget).
@@ -106,25 +99,20 @@ fn digest(signatures: &[String]) -> u64 {
 
 /// The ACR strategies, rebuilt per scenario so reports carry its tags.
 fn acr_strategies(scenario: &Scenario) -> Vec<AcrStrategy> {
-    // `symbolic` is pinned per strategy (not ambient) so `acr-beam` vs
-    // `acr-sym` is an explicit A/B of the selective symbolic validator
-    // on otherwise identical configurations, whatever `ACR_SYM` says.
-    let with = |label: &str, strategy: Strategy, symbolic: bool| {
+    let with = |label: &str, strategy: Strategy| {
         AcrStrategy::new(
             label,
             RepairConfig {
                 seed: 11,
                 strategy,
-                symbolic,
                 tags: scenario.tags(),
                 ..RepairConfig::default()
             },
         )
     };
     vec![
-        with("acr-beam", Strategy::beam(), false),
-        with("acr-sym", Strategy::beam(), true),
-        with("acr-single", Strategy::single_patch(), false),
+        with("acr-beam", Strategy::beam()),
+        with("acr-single", Strategy::single_patch()),
     ]
 }
 
@@ -177,8 +165,6 @@ fn main() {
 
     let mut scored: Vec<(usize, Scored)> = Vec::new();
     let mut beam_signatures: Vec<String> = Vec::new();
-    let mut sym_signatures: Vec<String> = Vec::new();
-    let (mut beam_validations, mut sym_validations, mut sym_screened) = (0usize, 0usize, 0usize);
     let mut rows: Vec<String> = Vec::new();
     for (si, scenario) in scenarios.iter().enumerate() {
         let spec = scenario.visible_spec(&net.spec);
@@ -197,12 +183,6 @@ fn main() {
             );
             if acr.name() == "acr-beam" {
                 beam_signatures.push(signature(&scenario.label, report));
-                beam_validations += report.validations;
-            }
-            if acr.name() == "acr-sym" {
-                sym_signatures.push(signature(&scenario.label, report));
-                sym_validations += report.validations;
-                sym_screened += report.validations_symbolic;
             }
             attempts.push(Scored {
                 strategy: acr.name().to_string(),
@@ -340,26 +320,6 @@ fn main() {
         beam_only.join(", ")
     );
 
-    // A/B acceptance: the selective symbolic validator is decision-
-    // transparent (signature-for-signature against acr-beam) and spends
-    // fewer concrete simulations across the corpus.
-    assert_eq!(
-        beam_signatures, sym_signatures,
-        "acr-sym diverged from acr-beam on a repair decision"
-    );
-    assert!(
-        sym_validations <= beam_validations,
-        "acr-sym must not simulate more than acr-beam ({sym_validations} vs {beam_validations})"
-    );
-    assert!(
-        sym_screened > 0,
-        "acceptance: the symbolic screen never fired across the corpus"
-    );
-    println!(
-        "A/B: acr-sym reproduces every acr-beam decision with {beam_validations} -> \
-         {sym_validations} concrete simulations ({sym_screened} symbolically screened)"
-    );
-
     let families_covered = ScenarioFamily::ALL
         .iter()
         .filter(|f| scenarios.iter().any(|s| s.family == **f))
@@ -374,16 +334,7 @@ fn main() {
             .bool("ambient_flow", ambient_flow)
             .int("scenarios", scenarios.len())
             .int("per_family", per_family)
-            .int("strategies", 5)
-            .raw(
-                "symbolic_ab",
-                &json::Obj::new()
-                    .int("validations_beam", beam_validations)
-                    .int("validations_sym", sym_validations)
-                    .int("sym_screened", sym_screened)
-                    .bool("decisions_identical", true)
-                    .build(),
-            )
+            .int("strategies", 4)
             .str(
                 "corpus_digest",
                 &format!("{:016x}", corpus_digest(&scenarios)),

@@ -17,7 +17,6 @@
 use crate::ctx::RepairCtx;
 use crate::session::NetworkSession;
 use crate::strategy::{crossover, Strategy};
-use crate::symvalidate::SymStats;
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
 use crate::validate::{
@@ -31,7 +30,7 @@ use acr_obs::metrics::Counter;
 use acr_obs::{journal, json, Stages};
 use acr_sim::ShardedCache;
 use acr_topo::Topology;
-use acr_verify::{make_entry, IncrementalVerifier, SimCache, Spec, Verification};
+use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +44,6 @@ static CAND_CACHED: Counter = Counter::new("engine.candidates.cached");
 static CAND_INVALID: Counter = Counter::new("engine.candidates.invalid");
 static CAND_KEPT: Counter = Counter::new("engine.candidates.kept");
 static CAND_FLOW_SKIPPED: Counter = Counter::new("engine.candidates.flow_skipped");
-static CAND_SYM_VALIDATED: Counter = Counter::new("engine.candidates.sym_validated");
 static FLOW_FIXPOINT_ITERATIONS: Counter = Counter::new("flow.fixpoint.iterations");
 static FLOW_FACTS: Counter = Counter::new("flow.facts");
 static RESIDENT_HITS: Counter = Counter::new("engine.resident.hits");
@@ -118,21 +116,6 @@ pub struct RepairConfig {
     /// The `ACR_FLOW` environment variable sets the default (on unless
     /// `0`/`false`/`off`).
     pub flow: bool,
-    /// Selective symbolic candidate validation: candidates headed for
-    /// simulation are first screened as a *batch* by one guarded
-    /// convergence pass per affected prefix (`acr-verify`'s symbolic
-    /// screen plus an `acr-smt` guard readoff). Screened candidates
-    /// skip concrete simulation unless they survive population
-    /// truncation — survivors are materialized concretely (their
-    /// coverage matrices drive localization) with the symbolic fitness
-    /// re-asserted. Screening is exact, so *decisions* — outcome,
-    /// patch, fitness trajectory, kept sets — are byte-identical with
-    /// this on or off; only validation-cost accounting moves
-    /// (`validated` vs [`IterationStats::sym_validated`]). Concrete
-    /// simulation remains the always-available fallback for candidates
-    /// the eligibility gate refuses. The `ACR_SYM` environment variable
-    /// sets the default (on unless `0`/`false`/`off`).
-    pub symbolic: bool,
     /// Free-form labels carried verbatim into [`RepairReport::tags`] and
     /// the run journal — the scenario harness stamps the scenario family
     /// (e.g. `family:interacting`) here so every report and journal line
@@ -165,14 +148,6 @@ fn default_flow() -> bool {
     )
 }
 
-/// The `symbolic` default: on, unless `ACR_SYM` says `0`/`false`/`off`.
-fn default_symbolic() -> bool {
-    !matches!(
-        std::env::var("ACR_SYM").ok().as_deref(),
-        Some("0") | Some("false") | Some("off")
-    )
-}
-
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
@@ -189,7 +164,6 @@ impl Default for RepairConfig {
             cache: Some(Arc::new(SimCache::default())),
             delta: default_delta(),
             flow: default_flow(),
-            symbolic: default_symbolic(),
             tags: Vec::new(),
         }
     }
@@ -250,11 +224,9 @@ pub struct IterationStats {
     /// Candidates skipped by the static relevance gate (served the base
     /// verification without simulation).
     pub flow_skipped: usize,
-    /// Candidates validated by the symbolic batch screen *without* a
-    /// concrete simulation. A screened candidate that survives
-    /// population truncation is materialized concretely and counted in
-    /// `validated` instead, so `validated` remains exactly the number
-    /// of concrete simulations.
+    /// Always 0: the engine validates every candidate concretely. Kept
+    /// because the benchmark's report reader still reads it; removing it
+    /// belongs to a later change of the benchmark.
     pub sym_validated: usize,
 }
 
@@ -325,9 +297,9 @@ pub struct RepairReport {
     /// relevance gate (provably invisible patches, served the base
     /// verification).
     pub validations_skipped: usize,
-    /// Candidate validations resolved by the symbolic batch screen
-    /// without a concrete simulation (exact verdicts read off guarded
-    /// batch convergence).
+    /// Always 0: the engine validates every candidate concretely. Kept
+    /// because the benchmark's report reader still reads it; removing it
+    /// belongs to a later change of the benchmark.
     pub validations_symbolic: usize,
     /// Per-stage wall-clock breakdown.
     pub stage: StageTimes,
@@ -434,41 +406,6 @@ struct Variant {
     diags: Vec<Diagnostic>,
     /// Provenance of `patch`, one segment per operator application.
     segments: Vec<PatchSegment>,
-}
-
-/// A candidate that survived the validate stage's discard check.
-/// `Full` carries a complete [`Variant`]; `Sym` is a symbolically
-/// screened candidate whose fitness is exact but which has no
-/// [`Verification`] yet — it is materialized concretely only if it
-/// survives population truncation (a surviving variant needs its
-/// coverage matrix to seed the next iteration's localization).
-// Short-lived per-iteration values; the size skew isn't worth a Box.
-#[allow(clippy::large_enum_variant)]
-enum Kept {
-    Full(Variant),
-    Sym {
-        cfg: NetworkConfig,
-        patch: Patch,
-        fitness: usize,
-        diags: Vec<Diagnostic>,
-        segments: Vec<PatchSegment>,
-    },
-}
-
-impl Kept {
-    fn fitness(&self) -> usize {
-        match self {
-            Kept::Full(v) => v.fitness,
-            Kept::Sym { fitness, .. } => *fitness,
-        }
-    }
-
-    fn patch_len(&self) -> usize {
-        match self {
-            Kept::Full(v) => v.patch.len(),
-            Kept::Sym { patch, .. } => patch.len(),
-        }
-    }
 }
 
 /// The repair engine, bound to a topology and spec.
@@ -636,8 +573,6 @@ impl<'a> RepairEngine<'a> {
             let mut validations = 0usize;
             let mut validations_cached = 0usize;
             let mut validations_skipped = 0usize;
-            let mut validations_symbolic = 0usize;
-            let mut sym_totals = SymStats::default();
 
             self.journal_run_start(original, initial_failed, threads);
             if acr_obs::enabled(acr_obs::JOURNAL) {
@@ -664,9 +599,6 @@ impl<'a> RepairEngine<'a> {
                     validations,
                     validations_cached,
                     validations_skipped,
-                    validations_symbolic,
-                    &sym_totals,
-                    iv.shard_totals(),
                     &stages,
                     Vec::new(),
                     &self.config.tags,
@@ -718,9 +650,6 @@ impl<'a> RepairEngine<'a> {
                         validations,
                         validations_cached,
                         validations_skipped,
-                        validations_symbolic,
-                        &sym_totals,
-                        iv.shard_totals(),
                         &stages,
                         best.segments.clone(),
                         &self.config.tags,
@@ -731,7 +660,7 @@ impl<'a> RepairEngine<'a> {
 
                 // ---- validate: lint gate + memo-cache + worker pool --------
                 let validate_guard = stages.time("engine.validate", "engine");
-                let (batch, iter_sym) = validate_batch(
+                let batch = validate_batch(
                     fresh_patches,
                     original,
                     &mut iv,
@@ -742,15 +671,12 @@ impl<'a> RepairEngine<'a> {
                     flow_gate.as_ref(),
                     ctx_base,
                     threads,
-                    self.config.symbolic,
                 );
-                sym_totals.absorb(&iter_sym);
-                let mut kept: Vec<Kept> = Vec::new();
+                let mut kept: Vec<Variant> = Vec::new();
                 let (mut recomputed, mut reused) = (0, 0);
                 let (mut lint_rejected, mut validated, mut cached_count, mut invalid) =
                     (0, 0, 0, 0);
                 let mut flow_skipped = 0usize;
-                let mut sym_count = 0usize;
                 // Journal rows for this iteration's candidates, in batch
                 // (candidate-index) order.
                 let mut cand_rows: Vec<String> = Vec::new();
@@ -815,14 +741,14 @@ impl<'a> RepairEngine<'a> {
                                 Some(src) => iv.absorb_verification(&verification, src),
                                 None => verification,
                             };
-                            kept.push(Kept::Full(Variant {
+                            kept.push(Variant {
                                 cfg: vc.cfg.expect("validated candidates carry a config"),
                                 patch: vc.patch,
                                 verification,
                                 fitness,
                                 diags,
                                 segments: segs,
-                            }));
+                            });
                         }
                         CandidateOutcome::FlowSkipped {
                             verification,
@@ -846,35 +772,10 @@ impl<'a> RepairEngine<'a> {
                             if discard {
                                 continue;
                             }
-                            kept.push(Kept::Full(Variant {
+                            kept.push(Variant {
                                 cfg: vc.cfg.expect("gate-served candidates carry a config"),
                                 patch: vc.patch,
                                 verification,
-                                fitness,
-                                diags,
-                                segments: segs,
-                            }));
-                        }
-                        CandidateOutcome::SymValidated { fitness, diags } => {
-                            sym_count += 1;
-                            // The symbolic fitness is exact, so the §5
-                            // discard check decides identically to the
-                            // concrete path.
-                            let discard = fitness > prev_fitness;
-                            if let Some(r) = row.take() {
-                                cand_rows.push(
-                                    r.str("outcome", "sym_validated")
-                                        .int("fitness", fitness)
-                                        .bool("discarded", discard)
-                                        .build(),
-                                );
-                            }
-                            if discard {
-                                continue;
-                            }
-                            kept.push(Kept::Sym {
-                                cfg: vc.cfg.expect("screened candidates carry a config"),
-                                patch: vc.patch,
                                 fitness,
                                 diags,
                                 segments: segs,
@@ -895,81 +796,12 @@ impl<'a> RepairEngine<'a> {
                 let select_guard = stages.time("engine.select", "engine");
                 let kept_count = kept.len();
                 CAND_KEPT.add(kept_count as u64);
-                let iter_fitness = kept.iter().map(Kept::fitness).max().unwrap_or(prev_fitness);
-                let done = kept.iter().any(|k| k.fitness() == 0);
+                let iter_fitness = kept.iter().map(|v| v.fitness).max().unwrap_or(prev_fitness);
+                let done = kept.iter().any(|v| v.fitness == 0);
 
-                // Merge exactly as the concrete path does: a stable sort
-                // by (fitness, patch length) over the existing population
-                // followed by this iteration's kept candidates, truncated
-                // to the cap. Only *surviving* symbolically screened
-                // candidates are materialized concretely — a survivor
-                // needs its coverage matrix for the next localization —
-                // and the engine re-asserts the symbolic fitness against
-                // the concrete verdict. Materialized survivors move from
-                // the `sym_validated` bucket to `validated`, so
-                // `validated` stays exactly the number of concrete
-                // simulations. Their verdicts are deliberately *not*
-                // inserted into the memo-cache (cost-only divergence from
-                // the concrete path; decisions are unaffected).
-                let mut merged: Vec<Kept> =
-                    population.drain(..).map(Kept::Full).chain(kept).collect();
-                merged.sort_by_key(|k| (k.fitness(), k.patch_len()));
-                merged.truncate(self.config.max_population);
-                for k in merged {
-                    population.push(match k {
-                        Kept::Full(v) => v,
-                        Kept::Sym {
-                            cfg,
-                            patch,
-                            fitness,
-                            diags,
-                            segments,
-                        } => {
-                            let verification = iv.verify_candidate(&cfg, &patch);
-                            let stats = iv.last_stats();
-                            recomputed += stats.recomputed;
-                            reused += stats.reused;
-                            stages.add("sim.compile", stats.compile);
-                            stages.add("sim.establish", stats.establish);
-                            stages.add("sim.simulate", stats.simulate);
-                            stages.add("sim.converge", stats.converge);
-                            assert_eq!(
-                                verification.failed_count(),
-                                fitness,
-                                "symbolic fitness must equal the concrete verdict (patch {patch})"
-                            );
-                            // A materialized verdict enters the memo-cache
-                            // like any other fresh simulation, so a warm
-                            // replay of the incident serves survivors
-                            // without re-simulating them.
-                            if let Some(c) = cache {
-                                let entry = make_entry(
-                                    &verification,
-                                    iv.arena(),
-                                    stats.recomputed + stats.reused,
-                                );
-                                c.insert_candidate(
-                                    (ctx_base.0, ctx_base.1, cfg.fingerprint()),
-                                    entry,
-                                );
-                            }
-                            validated += 1;
-                            validations += 1;
-                            CAND_VALIDATED.inc();
-                            sym_count -= 1;
-                            Variant {
-                                cfg,
-                                patch,
-                                verification,
-                                fitness,
-                                diags,
-                                segments,
-                            }
-                        }
-                    });
-                }
-                validations_symbolic += sym_count;
-                CAND_SYM_VALIDATED.add(sym_count as u64);
+                population.extend(kept);
+                population.sort_by_key(|v| (v.fitness, v.patch.len()));
+                population.truncate(self.config.max_population);
                 let best_fitness = population
                     .first()
                     .map(|v| v.fitness)
@@ -988,7 +820,7 @@ impl<'a> RepairEngine<'a> {
                     cached: cached_count,
                     invalid,
                     flow_skipped,
-                    sym_validated: sym_count,
+                    sym_validated: 0,
                 };
                 if journal_on {
                     journal_iteration(&stats, &suspects, &cand_rows);
@@ -1013,9 +845,6 @@ impl<'a> RepairEngine<'a> {
                         validations,
                         validations_cached,
                         validations_skipped,
-                        validations_symbolic,
-                        &sym_totals,
-                        iv.shard_totals(),
                         &stages,
                         winner.segments.clone(),
                         &self.config.tags,
@@ -1034,9 +863,6 @@ impl<'a> RepairEngine<'a> {
                 validations,
                 validations_cached,
                 validations_skipped,
-                validations_symbolic,
-                &sym_totals,
-                iv.shard_totals(),
                 &stages,
                 best.segments.clone(),
                 &self.config.tags,
@@ -1077,7 +903,6 @@ impl<'a> RepairEngine<'a> {
             .bool("cache", self.config.cache.is_some())
             .bool("delta", self.config.delta)
             .bool("flow", self.config.flow)
-            .bool("symbolic", self.config.symbolic)
             .raw("tags", &tags_json(&self.config.tags))
             .build();
         journal::emit(
@@ -1396,9 +1221,6 @@ fn finish(
     validations: usize,
     validations_cached: usize,
     validations_skipped: usize,
-    validations_symbolic: usize,
-    sym: &SymStats,
-    shard_totals: (u64, u64),
     stages: &Stages,
     attribution: Vec<PatchSegment>,
     tags: &[String],
@@ -1425,38 +1247,6 @@ fn finish(
                 best_fitness,
             } => ("iteration_limit", best_patch.to_string(), *best_fitness),
         };
-        // Sharded-convergence accounting for the run: how many committed
-        // verifications dispatched the sharded runner and how many
-        // prefixes they covered. Both are worker-count independent (the
-        // dispatch decision is on/off, not a count), so journals stay
-        // byte-identical across thread counts and shard widths.
-        journal::emit(
-            &json::Obj::new()
-                .str("event", "shard_summary")
-                .u64("ts_us", journal::now_us())
-                .u64("sharded_runs", shard_totals.0)
-                .u64("sharded_prefixes", shard_totals.1)
-                .build(),
-        );
-        // Symbolic-screen accounting for the run: how much guarded work
-        // the screen did and how many candidates it resolved without a
-        // concrete simulation. Computed on the coordinator, so the
-        // record is thread-count independent like the rest.
-        journal::emit(
-            &json::Obj::new()
-                .str("event", "sym_summary")
-                .u64("ts_us", journal::now_us())
-                .int("sym_validated", validations_symbolic)
-                .int("screened", sym.screened)
-                .int("eligible", sym.eligible)
-                .int("prefixes_guarded", sym.prefixes_guarded)
-                .int("peak_classes", sym.peak_classes)
-                .u64("rounds", sym.rounds)
-                .u64("policy_evals", sym.policy_evals)
-                .u64("memo_hits", sym.memo_hits)
-                .u64("smt_solves", sym.smt_solves)
-                .build(),
-        );
         journal::emit(
             &json::Obj::new()
                 .str("event", "run_end")
@@ -1469,7 +1259,6 @@ fn finish(
                 .int("validations", validations)
                 .int("validations_cached", validations_cached)
                 .int("validations_skipped", validations_skipped)
-                .int("validations_symbolic", validations_symbolic)
                 .raw("attribution", &attribution_json(&attribution))
                 .raw("tags", &tags_json(tags))
                 .build(),
@@ -1483,7 +1272,7 @@ fn finish(
         validations,
         validations_cached,
         validations_skipped,
-        validations_symbolic,
+        validations_symbolic: 0,
         stage,
         wall: stages.wall(),
         attribution,
@@ -1509,7 +1298,6 @@ fn journal_iteration(stats: &IterationStats, suspects: &str, cand_rows: &[String
             .int("cached", stats.cached)
             .int("invalid", stats.invalid)
             .int("flow_skipped", stats.flow_skipped)
-            .int("sym_validated", stats.sym_validated)
             .int("recomputed_prefixes", stats.recomputed_prefixes)
             .int("reused_prefixes", stats.reused_prefixes)
             .raw("suspects", suspects)

@@ -36,7 +36,6 @@
 //! (closures are sorted and deduplicated, anchor checks return booleans),
 //! so repair outcomes are byte-identical.
 
-use crate::symvalidate::SymStats;
 use acr_cfg::{DeviceModel, NetworkConfig, Patch};
 use acr_lint::{lint_with_models, DiagKey, Diagnostic};
 use acr_net_types::{Prefix, RouterId};
@@ -137,15 +136,6 @@ pub(crate) enum CandidateOutcome {
         verification: Verification,
         diags: Vec<Diagnostic>,
     },
-    /// Validated by the symbolic batch screen: the fitness is exact (it
-    /// equals what a concrete simulation would report), but no
-    /// [`Verification`] was produced. The engine materializes the
-    /// candidate concretely if it survives population truncation — a
-    /// surviving variant needs its coverage matrix for localization.
-    SymValidated {
-        fitness: usize,
-        diags: Vec<Diagnostic>,
-    },
 }
 
 /// One batch entry, index-aligned with the incoming patch order.
@@ -172,11 +162,6 @@ enum Plan {
     /// the base verification without simulating (and without touching
     /// the memo-cache — there is nothing to store).
     Serve,
-    /// The symbolic batch screen already holds this candidate's exact
-    /// fitness: lint it, then report the verdict without simulating.
-    /// Nothing enters the memo-cache — there is no verification to
-    /// store; a later recurrence of the config plans `Compute` again.
-    Sym(usize),
     /// Simulate.
     Compute,
 }
@@ -205,21 +190,11 @@ enum Resolved {
     Served {
         diags: Vec<Diagnostic>,
     },
-    /// Symbolically screened: lint ran (and passed), the fitness came
-    /// off the guarded batch pass.
-    Sym {
-        fitness: usize,
-        diags: Vec<Diagnostic>,
-    },
 }
 
 /// Validates a batch of candidate patches against the committed base.
 /// Results come back index-aligned with `fresh`; all cache mutations
-/// happen here, in candidate-index order. With `symbolic`, candidates
-/// planned for simulation are first offered to the symbolic batch
-/// screen (single-threaded, on the coordinator — verdicts are
-/// thread-count independent by construction); the returned
-/// [`SymStats`] accounts the screen's work.
+/// happen here, in candidate-index order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn validate_batch(
     fresh: Vec<Patch>,
@@ -232,8 +207,7 @@ pub(crate) fn validate_batch(
     flow: Option<&FlowGate>,
     ctx_base: (u64, u64),
     threads: usize,
-    symbolic: bool,
-) -> (Vec<ValidatedCandidate>, SymStats) {
+) -> Vec<ValidatedCandidate> {
     // ---- prepare: materialize configs, fingerprint, dedup ------------
     let mut out: Vec<ValidatedCandidate> = Vec::with_capacity(fresh.len());
     let mut items: Vec<(usize, Prepared)> = Vec::new();
@@ -271,7 +245,7 @@ pub(crate) fn validate_batch(
 
     // ---- plan: peek the memo-cache against batch-start state ---------
     let (ctx_fp, base_fp) = ctx_base;
-    let mut plans: Vec<Plan> = items
+    let plans: Vec<Plan> = items
         .iter()
         .zip(&dups)
         .map(|((_, it), dup)| {
@@ -293,35 +267,6 @@ pub(crate) fn validate_batch(
             }
         })
         .collect();
-
-    // ---- symbolic screen: one guarded pass over the Compute plans ----
-    // Runs on the coordinator before workers spawn, so verdicts (and the
-    // per-candidate plan) are identical at every thread count. The gates
-    // above outrank it: flow-served, memo-hit and dup candidates keep
-    // their (cheaper, equally exact) plans.
-    let mut sym_stats = SymStats::default();
-    if symbolic {
-        let compute_idx: Vec<usize> = plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Compute))
-            .map(|(k, _)| k)
-            .collect();
-        if !compute_idx.is_empty() {
-            let cands: Vec<(&NetworkConfig, &Patch)> = compute_idx
-                .iter()
-                .map(|&k| (&items[k].1.cfg, &items[k].1.patch))
-                .collect();
-            if let Some(batch) = crate::symvalidate::screen(iv, &cands) {
-                sym_stats = batch.stats;
-                for (i, &k) in compute_idx.iter().enumerate() {
-                    if let Some(f) = batch.fitness[i] {
-                        plans[k] = Plan::Sym(f);
-                    }
-                }
-            }
-        }
-    }
 
     // ---- resolve: lint + simulate, sequentially or on the pool -------
     let worker_threads = threads.min(items.len()).max(1);
@@ -433,22 +378,10 @@ pub(crate) fn validate_batch(
                             diags: diags.clone(),
                         }
                     }
-                    // Same rendered config as a symbolically screened
-                    // candidate: the exact verdict carries over. Nothing
-                    // to promote — sym verdicts are never cached.
-                    CandidateOutcome::SymValidated { fitness, diags } => {
-                        CandidateOutcome::SymValidated {
-                            fitness: *fitness,
-                            diags: diags.clone(),
-                        }
-                    }
                     CandidateOutcome::Invalid => unreachable!("dups are valid by construction"),
                 }
             }
             Some(Resolved::LintRejected) => CandidateOutcome::LintRejected,
-            Some(Resolved::Sym { fitness, diags }) => {
-                CandidateOutcome::SymValidated { fitness, diags }
-            }
             Some(Resolved::Served { diags }) => {
                 FLOW_GATE_SKIPPED.inc();
                 let gate = flow.expect("Serve plans only exist with a gate");
@@ -502,7 +435,7 @@ pub(crate) fn validate_batch(
             outcome,
         };
     }
-    (out, sym_stats)
+    out
 }
 
 /// Lint verdict for one candidate, memoized by config fingerprint.
@@ -557,10 +490,6 @@ fn resolve_sequential(
             diags,
         },
         Plan::Serve => Resolved::Served { diags },
-        Plan::Sym(fitness) => Resolved::Sym {
-            fitness: *fitness,
-            diags,
-        },
         Plan::Compute => {
             let verification = iv.verify_candidate(&it.cfg, &it.patch);
             let stats = iv.last_stats();
@@ -603,10 +532,6 @@ fn resolve_worker(
             diags,
         },
         Plan::Serve => Resolved::Served { diags },
-        Plan::Sym(fitness) => Resolved::Sym {
-            fitness: *fitness,
-            diags,
-        },
         Plan::Compute => {
             let arena = arena.get_or_insert_with(|| base_arena.clone());
             let (verification, stats) = validator.verify_candidate(&it.cfg, &it.patch, arena);
@@ -633,7 +558,17 @@ pub(crate) fn reparses(cfg: &NetworkConfig, patch: &Patch) -> bool {
     })
 }
 
-// The worker-thread clamp moved to `acr-sim`'s shard module so the
-// sharded convergence runner and this candidate pool share one budget
-// policy; re-exported here to keep the crate-local import paths.
-pub(crate) use acr_sim::resolve_threads;
+/// Worker-thread count: `0` = available parallelism; explicit requests
+/// are clamped to the host's available parallelism. Candidate validation
+/// is CPU-bound with no blocking I/O, so oversubscription only adds
+/// contention (measured 1.7× slower at threads=4 on a 1-core host) —
+/// there is no workload where more workers than cores helps.
+pub(crate) fn resolve_threads(configured: usize) -> usize {
+    let avail = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    if configured != 0 {
+        return configured.min(avail);
+    }
+    avail
+}

@@ -107,7 +107,6 @@ pub struct JobRecord {
     pub validations: usize,
     pub validations_cached: usize,
     pub validations_skipped: usize,
-    pub validations_symbolic: usize,
     pub wall: Duration,
 }
 
@@ -236,7 +235,6 @@ impl Acrd {
                 validations: 0,
                 validations_cached: 0,
                 validations_skipped: 0,
-                validations_symbolic: 0,
                 wall: Duration::ZERO,
             },
         );
@@ -323,7 +321,6 @@ impl Acrd {
         rec.validations = report.validations;
         rec.validations_cached = report.validations_cached;
         rec.validations_skipped = report.validations_skipped;
-        rec.validations_symbolic = report.validations_symbolic;
         rec.wall = wall;
         self.completed += 1;
         COMPLETED.inc();

@@ -26,7 +26,7 @@
 //! - [`report`] — report JSON + the decision/full determinism
 //!   signatures and FNV digests CI compares across processes.
 //!
-//! Journal events (`acr-journal/v4`): `job_start`, `job_end` (with a
+//! Journal events (`acr-journal/v5`): `job_start`, `job_end` (with a
 //! `resident` flag), `admission_rejected` — emitted by the daemon
 //! around the engine's own `run_start`..`run_end` records.
 

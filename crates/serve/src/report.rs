@@ -113,7 +113,9 @@ pub fn decision_signature(label: &str, r: &RepairReport) -> String {
 
 /// The decision signature plus the validation-cost accounting. Byte-
 /// identical between a *cold* daemon job and a one-shot repair; a
-/// resident job moves exactly these buckets.
+/// resident job moves exactly these buckets. The always-0
+/// `sym_validated` / `validations_symbolic` buckets stay in the
+/// signature so `full_digest` values remain comparable across releases.
 pub fn full_signature(label: &str, r: &RepairReport) -> String {
     let buckets: Vec<String> = r
         .iterations
@@ -161,6 +163,8 @@ pub fn report_json(r: &RepairReport) -> String {
                 .int("cached", s.cached)
                 .int("invalid", s.invalid)
                 .int("flow_skipped", s.flow_skipped)
+                // Always 0 (see `IterationStats::sym_validated`); kept
+                // because the benchmark's result reader requires it.
                 .int("sym_validated", s.sym_validated)
                 .int("recomputed_prefixes", s.recomputed_prefixes)
                 .int("reused_prefixes", s.reused_prefixes)
@@ -201,6 +205,8 @@ pub fn report_json(r: &RepairReport) -> String {
         .int("validations", r.validations)
         .int("validations_cached", r.validations_cached)
         .int("validations_skipped", r.validations_skipped)
+        // Always 0 (see `RepairReport::validations_symbolic`); kept
+        // because the benchmark's result reader requires it.
         .int("validations_symbolic", r.validations_symbolic)
         .u64("wall_us", r.wall.as_micros() as u64)
         .raw("iteration_detail", &json::array(iters))

@@ -11,7 +11,14 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
+/// Serializes every test that runs repairs: the journal capture in
+/// `journal_v3_daemon_events` is process-global, and a repair running
+/// on another test thread would write its records into that capture.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn small() -> (GeneratedNetwork, NetworkConfig) {
     let net = generate(&gen::wan(2, 3));
@@ -57,6 +64,7 @@ fn req(net: &GeneratedNetwork, broken: &NetworkConfig, seed: u64) -> SubmitReq {
 
 #[test]
 fn job_lifecycle_over_the_jsonl_surface() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d = daemon(&net, false);
     let id = d.submit(req(&net, &broken, 0)).unwrap();
@@ -80,10 +88,52 @@ fn job_lifecycle_over_the_jsonl_surface() {
         .get("outcome")
         .and_then(json::Value::as_str)
         .is_some());
-    assert!(report
+    // Every key the time-to-repair benchmark (`perfbench`) reads from a
+    // result, and the candidate-accounting identity it checks on them.
+    assert!(v.get("outcome").and_then(json::Value::as_str).is_some());
+    assert!(matches!(v.get("resident"), Some(json::Value::Bool(_))));
+    assert!(report.get("patch").and_then(json::Value::as_str).is_some());
+    let num = |o: &json::Value, k: &str| {
+        o.get(k)
+            .and_then(json::Value::as_num)
+            .unwrap_or_else(|| panic!("result report lacks numeric '{k}': {result}"))
+    };
+    for k in [
+        "wall_us",
+        "validations",
+        "validations_cached",
+        "validations_skipped",
+        "validations_symbolic",
+    ] {
+        num(report, k);
+    }
+    let iters = report
         .get("iteration_detail")
         .and_then(json::Value::as_arr)
-        .is_some());
+        .expect("result report carries iteration_detail");
+    assert!(!iters.is_empty());
+    for it in iters {
+        for k in [
+            "iteration",
+            "kept",
+            "recomputed_prefixes",
+            "reused_prefixes",
+        ] {
+            num(it, k);
+        }
+        let buckets: f64 = [
+            "invalid",
+            "lint_rejected",
+            "validated",
+            "cached",
+            "flow_skipped",
+            "sym_validated",
+        ]
+        .iter()
+        .map(|k| num(it, k))
+        .sum();
+        assert_eq!(num(it, "generated"), buckets, "bucket sum: {result}");
+    }
 
     let health = d.handle("{\"op\":\"health\"}");
     let h = json::parse(&health).unwrap();
@@ -111,6 +161,7 @@ fn job_ids_are_deterministic_across_daemons() {
 /// cold daemon never goes resident; its decisions match too.
 #[test]
 fn resident_replay_matches_cold_decisions_with_less_work() {
+    let _g = lock();
     let (net, broken) = small();
     let mut res = daemon(&net, false);
     res.submit(req(&net, &broken, 0)).unwrap();
@@ -144,6 +195,7 @@ fn resident_replay_matches_cold_decisions_with_less_work() {
 /// next job commits cold) but nothing ever goes stale or wrong.
 #[test]
 fn invalidate_drops_warm_state_not_correctness() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d = daemon(&net, false);
     d.submit(req(&net, &broken, 0)).unwrap();
@@ -167,6 +219,7 @@ fn invalidate_drops_warm_state_not_correctness() {
 /// journal, and leaves an empty queue with all records done.
 #[test]
 fn finish_drains_the_queue_completely() {
+    let _g = lock();
     let (net, broken) = small();
     let mut d = daemon(&net, false);
     for seed in 0..3 {
@@ -186,7 +239,7 @@ fn finish_drains_the_queue_completely() {
 /// tenant/network/job ids, and the engine still stamps the v3 schema.
 #[test]
 fn journal_v3_daemon_events() {
-    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = lock();
     acr_obs::set_flags(acr_obs::JOURNAL);
     journal::capture_to_memory();
 
@@ -251,7 +304,7 @@ fn journal_v3_daemon_events() {
         run_start.get("schema").and_then(json::Value::as_str),
         Some(journal::SCHEMA)
     );
-    assert_eq!(journal::SCHEMA, "acr-journal/v4");
+    assert_eq!(journal::SCHEMA, "acr-journal/v5");
     // Bracketing: job_start before run_start before run_end before job_end.
     let pos = |e: &str| {
         lines
@@ -267,6 +320,7 @@ fn journal_v3_daemon_events() {
 /// the same daemon state as the JSONL surface.
 #[test]
 fn http_surface_round_trip() {
+    let _g = lock();
     let (net, broken) = small();
     let daemon = Arc::new(Mutex::new(daemon(&net, false)));
     let server = acr_serve::serve(daemon.clone(), "127.0.0.1:0").expect("bind");

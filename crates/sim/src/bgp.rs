@@ -197,28 +197,6 @@ pub struct ConvergeWork {
     pub warm_reused: u64,
     /// Probes that failed and fell back to a cold sparse run.
     pub warm_fallbacks: u64,
-    /// Sharded multi-prefix runs performed (see `acr-sim`'s `shard`
-    /// module). Zero when sharding is disabled.
-    pub sharded_runs: u64,
-    /// Prefixes routed through sharded workers.
-    pub sharded_prefixes: u64,
-}
-
-impl ConvergeWork {
-    /// Field-wise accumulation.
-    pub fn absorb(&mut self, other: &ConvergeWork) {
-        self.prefixes += other.prefixes;
-        self.rounds += other.rounds;
-        self.recomputed_routers += other.recomputed_routers;
-        self.skipped_routers += other.skipped_routers;
-        self.policy_evals += other.policy_evals;
-        self.memo_hits += other.memo_hits;
-        self.warm_probes += other.warm_probes;
-        self.warm_reused += other.warm_reused;
-        self.warm_fallbacks += other.warm_fallbacks;
-        self.sharded_runs += other.sharded_runs;
-        self.sharded_prefixes += other.sharded_prefixes;
-    }
 }
 
 /// Result of one policy transfer (export by the sender, then import by
@@ -236,7 +214,7 @@ enum Transfer {
 }
 
 /// An unmemoized transfer result, before the accepted route is interned.
-pub(crate) enum Evaluated {
+enum Evaluated {
     Accepted(Route),
     Denied(DerivId),
     Silent,
@@ -298,7 +276,7 @@ struct MemoEntry {
 /// and parent list, built in place and interned via
 /// [`DerivArena::intern_ref`] so a dedup hit allocates nothing.
 #[derive(Default)]
-pub(crate) struct EvalScratch {
+struct EvalScratch {
     lines: Vec<LineId>,
     parents: Vec<DerivId>,
 }
@@ -466,51 +444,11 @@ impl PolicyMemo {
         self.slots[idx].insert(best, MemoEntry { t, gen });
         t
     }
-
-    /// Merges a shard worker's memo into this one. `deriv_map` translates
-    /// the worker arena's derivation ids (worker arenas start empty, so
-    /// the map is total) into the caller's arena. Slots are visited in
-    /// index order and entries in worker-route-id order, so given
-    /// deterministic workers the merged interner contents are
-    /// deterministic too. Existing entries win: the memo is semantically
-    /// transparent, so which copy survives only affects wall time.
-    pub(crate) fn absorb_worker(&mut self, worker: &PolicyMemo, deriv_map: &[DerivId]) {
-        let gen = self.gen;
-        for (idx, slot) in worker.slots.iter().enumerate() {
-            if slot.is_empty() {
-                continue;
-            }
-            if self.slots.len() <= idx {
-                self.slots.resize_with(idx + 1, FxHashMap::default);
-            }
-            let mut keys: Vec<RouteId> = slot.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                let entry = slot[&k];
-                let mut key_route = worker.routes.get(k).clone();
-                key_route.deriv = deriv_map[key_route.deriv.0 as usize];
-                let key_id = self.routes.intern_owned(key_route);
-                if self.slots[idx].contains_key(&key_id) {
-                    continue;
-                }
-                let t = match entry.t {
-                    Transfer::Accepted(rid) => {
-                        let mut r = worker.routes.get(rid).clone();
-                        r.deriv = deriv_map[r.deriv.0 as usize];
-                        Transfer::Accepted(self.routes.intern_owned(r))
-                    }
-                    Transfer::Denied(d) => Transfer::Denied(deriv_map[d.0 as usize]),
-                    Transfer::Silent => Transfer::Silent,
-                };
-                self.slots[idx].insert(key_id, MemoEntry { t, gen });
-            }
-        }
-    }
 }
 
 /// One unmemoized transfer: `sender` exports `best` over `session`,
 /// `receiver` imports the result.
-pub(crate) fn transfer(
+fn transfer(
     receiver: &RouterCtx<'_>,
     sender: &RouterCtx<'_>,
     session: &Session,
@@ -594,7 +532,7 @@ fn intern_locals(
 /// Id-level twin of [`intern_locals`] for the interned sparse engine:
 /// same arena intern calls in the same order, with the routes hash-consed
 /// into `routes` instead of cloned per round.
-pub(crate) fn intern_locals_ids(
+fn intern_locals_ids(
     prefix: Prefix,
     originations: &[Origination],
     arena: &mut DerivArena,
@@ -804,7 +742,7 @@ fn hash_slot_id(routes: &RouteInterner, i: usize, r: Option<RouteId>) -> u64 {
 
 /// Protocol-key equality of two id slots — an integer compare, since key
 /// ids are hash-consed over [`crate::route::RouteKey`].
-pub(crate) fn keys_eq_id(routes: &RouteInterner, a: Option<RouteId>, b: Option<RouteId>) -> bool {
+fn keys_eq_id(routes: &RouteInterner, a: Option<RouteId>, b: Option<RouteId>) -> bool {
     match (a, b) {
         (Some(x), Some(y)) => x == y || routes.key_id(x) == routes.key_id(y),
         (None, None) => true,

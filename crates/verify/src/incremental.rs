@@ -36,9 +36,8 @@ use acr_cfg::{Edit, LineId, NetworkConfig, Patch, Stmt};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
 use acr_sim::{
-    bgp_fragment, run_prefix_guarded, CompiledBase, ConvergeWork, DeltaInfo, DerivArena, Fib,
-    FibEntry, GuardSpec, GuardedRun, PolicyMemo, PrefixOutcome, ResidentBase, RunOptions,
-    SessionDelta, ShardMode, Simulator,
+    bgp_fragment, CompiledBase, DeltaInfo, DerivArena, Fib, FibEntry, PolicyMemo, PrefixOutcome,
+    ResidentBase, RunOptions, SessionDelta, Simulator,
 };
 use acr_topo::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -164,11 +163,6 @@ pub struct IncrementalVerifier<'a> {
     /// install list `(router index, entry)` derived from each cached
     /// prefix's converged best routes.
     fib_frags: BTreeMap<Prefix, Vec<(usize, FibEntry)>>,
-    /// Cumulative sharded-convergence accounting across committed
-    /// verifications (candidate validation always runs unsharded),
-    /// surfaced in the engine's `shard_summary` journal event.
-    sharded_runs: u64,
-    sharded_prefixes: u64,
     last_stats: IncrementalStats,
 }
 
@@ -192,8 +186,6 @@ impl<'a> IncrementalVerifier<'a> {
             fib_base: Vec::new(),
             fib_models: Vec::new(),
             fib_frags: BTreeMap::new(),
-            sharded_runs: 0,
-            sharded_prefixes: 0,
             last_stats: IncrementalStats::default(),
         }
     }
@@ -219,12 +211,6 @@ impl<'a> IncrementalVerifier<'a> {
     /// Stats of the most recent call.
     pub fn last_stats(&self) -> IncrementalStats {
         self.last_stats
-    }
-
-    /// Cumulative `(sharded runs, prefixes run sharded)` across committed
-    /// verifications — the engine's `shard_summary` journal event.
-    pub fn shard_totals(&self) -> (u64, u64) {
-        (self.sharded_runs, self.sharded_prefixes)
     }
 
     /// The persistent arena (derivation roots in returned records resolve
@@ -302,14 +288,12 @@ impl<'a> IncrementalVerifier<'a> {
             self.memo = PolicyMemo::new();
         }
         self.memo.begin_run(sim.sessions_arc(), &[]);
-        let (fresh, work) = sim.run_prefixes_with(
+        let (fresh, _) = sim.run_prefixes_with(
             &affected,
             &mut self.arena,
             &RunOptions::default(),
             &mut self.memo,
         );
-        self.sharded_runs += work.sharded_runs;
-        self.sharded_prefixes += work.sharded_prefixes;
         let converge = t.elapsed();
         PREFIXES_RECOMPUTED.add(fresh.len() as u64);
         PREFIXES_REUSED.add(universe.len().saturating_sub(fresh.len()) as u64);
@@ -672,13 +656,8 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
             _ => &mut local_memo,
         };
         let t = Instant::now();
-        // Candidates run unsharded, explicitly: the sharded runner starts
-        // each worker from a fresh memo/arena (and skips warm starts), so
-        // it would forfeit exactly the cross-candidate reuse this path is
-        // built around — affected sets here are small by construction.
         let opts = RunOptions {
             warm: if warm_ok { Some(self.cached) } else { None },
-            shard: ShardMode::Off,
             ..RunOptions::default()
         };
         let (fresh, work) = sim.run_prefixes_with(&affected, arena, &opts, memo);
@@ -749,234 +728,6 @@ impl<'v, 'a> CandidateValidator<'v, 'a> {
             .verifier
             .evaluate(&sim, &merged, &fibs, arena, sim.session_diags());
         (verification, stats)
-    }
-}
-
-/// Result of a symbolic batch screen ([`IncrementalVerifier::sym_screen`]):
-/// per-candidate fitness verdicts read off one guarded convergence pass
-/// per affected prefix, plus the guard-class structure the `acr-smt`
-/// readoff in `acr-core` is cross-checked against.
-pub struct SymScreen {
-    /// Per input candidate: `Some(fitness)` (failed-test count) when the
-    /// candidate was symbolically validated, `None` when it failed the
-    /// eligibility gate and must take the concrete path.
-    pub fitness: Vec<Option<usize>>,
-    /// Per guarded prefix, the final guard classes as candidate-index
-    /// sets (indices into the *input* slice, in candidate order).
-    pub classes: Vec<(Prefix, Vec<Vec<usize>>)>,
-    /// Candidates that passed the eligibility gate.
-    pub eligible: usize,
-    /// Prefixes run guarded — the union of eligible candidates' affected
-    /// sets (each replicated exactly from the concrete validator's
-    /// invalidation logic).
-    pub prefixes_guarded: usize,
-    /// Peak simultaneously-live class count across guarded prefixes
-    /// (1 = the whole batch shared every trajectory).
-    pub peak_classes: usize,
-    /// Convergence rounds across all guarded prefixes.
-    pub rounds: u64,
-    /// Policy transfers evaluated / served by the variant-aware memo.
-    pub policy_evals: u64,
-    pub memo_hits: u64,
-}
-
-impl<'a> IncrementalVerifier<'a> {
-    /// Whether the symbolic screen can run at all: it forks delta-built
-    /// candidate simulators off a committed, cached base.
-    pub fn sym_ready(&self) -> bool {
-        self.delta && self.base.is_some() && !self.cached.is_empty()
-    }
-
-    /// Screens a candidate batch with **one guarded convergence pass per
-    /// affected prefix** instead of one concrete simulation per
-    /// candidate (`symvalidate` in `acr-core`; ROADMAP selective
-    /// symbolic simulation).
-    ///
-    /// Per candidate the eligibility gate requires a delta-built
-    /// simulator whose session establishment (and diagnostics) are
-    /// content-identical to the committed base's — the guarded engine
-    /// shares one session list across the batch — and a non-structural
-    /// session delta. Ineligible candidates come back as `None` and fall
-    /// back to the concrete path; for eligible ones the affected-prefix
-    /// set replicates [`CandidateValidator::verify_candidate_with`]
-    /// exactly, so the fitness read off the guard class equals the
-    /// concrete verdict's failed-test count.
-    ///
-    /// The method is read-only (`&self`): guarded runs intern into a
-    /// scratch arena, leaving the persistent arena, outcome cache, and
-    /// policy memo byte-identical to a run with symbolic validation
-    /// disabled. Mixed-arena derivation ids in the merged outcome maps
-    /// are safe because fitness evaluation never dereferences a
-    /// derivation.
-    pub fn sym_screen(&self, cands: &[(&NetworkConfig, &Patch)]) -> Option<SymScreen> {
-        if !self.sym_ready() || cands.is_empty() {
-            return None;
-        }
-        let base = self.base.as_ref().expect("sym_ready checked base");
-        let base_sessions = base.sessions();
-        let base_diags = base.session_diags();
-        let mut arena = DerivArena::new();
-
-        struct Cand<'s> {
-            index: usize,
-            sim: Simulator<'s>,
-            universe: BTreeSet<Prefix>,
-            affected: BTreeSet<Prefix>,
-        }
-        let mut eligible: Vec<Cand<'_>> = Vec::new();
-        for (ci, (cfg, patch)) in cands.iter().enumerate() {
-            let sim = Simulator::from_base_with_patch(base, cfg, patch);
-            let Some(info) = sim.delta_info().cloned() else {
-                continue;
-            };
-            // A structural session change forces a full cache reset on
-            // the concrete path; screening it symbolically would mean
-            // running the whole universe guarded. Fall back instead.
-            if info.session_delta == SessionDelta::Structural {
-                continue;
-            }
-            // The guarded engine runs every candidate over one shared
-            // session list, and sessions carry policy *bindings* — so a
-            // patch that moves establishment or rebinds a peer policy
-            // (changing session content) is sym-ineligible, while a
-            // policy *body* edit (device-model-only) stays eligible.
-            let same_sessions = Arc::ptr_eq(sim.sessions_arc(), base_sessions)
-                || **sim.sessions_arc() == **base_sessions;
-            if !same_sessions || sim.session_diags() != base_diags.as_slice() {
-                continue;
-            }
-            let universe = sim.universe();
-            let mut affected = affected_by(&self.closures, patch, cfg, &universe);
-            for p in &universe {
-                if !self.cached.contains_key(p) {
-                    affected.insert(*p);
-                }
-            }
-            extend_with_delta_info(&mut affected, &universe, &info);
-            eligible.push(Cand {
-                index: ci,
-                sim,
-                universe,
-                affected,
-            });
-        }
-
-        let mut fitness: Vec<Option<usize>> = vec![None; cands.len()];
-        if eligible.is_empty() {
-            return Some(SymScreen {
-                fitness,
-                classes: Vec::new(),
-                eligible: 0,
-                prefixes_guarded: 0,
-                peak_classes: 0,
-                rounds: 0,
-                policy_evals: 0,
-                memo_hits: 0,
-            });
-        }
-
-        let n = base.models().len();
-        let sessions = base_sessions.as_slice();
-        let sessions_of = acr_sim::bgp::index_sessions(sessions, n);
-        let union: BTreeSet<Prefix> = eligible
-            .iter()
-            .flat_map(|c| c.affected.iter().copied())
-            .collect();
-
-        // One guarded pass per union-affected prefix over the whole
-        // eligible batch. Exactness makes over-approximation safe: a
-        // candidate for which `prefix` is *not* affected still gets its
-        // true outcome, we simply prefer its cached entry below.
-        let mut work = ConvergeWork::default();
-        let mut guarded: BTreeMap<Prefix, GuardedRun> = BTreeMap::new();
-        let mut peak = 0usize;
-        for &prefix in &union {
-            let specs: Vec<GuardSpec<'_>> = eligible
-                .iter()
-                .map(|c| GuardSpec {
-                    models: c.sim.models(),
-                    originations: c.sim.originations_dense(prefix),
-                })
-                .collect();
-            let run = run_prefix_guarded(
-                prefix,
-                sessions,
-                &sessions_of,
-                &specs,
-                &mut arena,
-                &mut work,
-            );
-            peak = peak.max(run.peak_classes);
-            guarded.insert(prefix, run);
-        }
-
-        // Concretize each eligible candidate: cached outcomes for reused
-        // prefixes, its guard class's outcome for affected ones, FIB
-        // assembly mirroring the concrete validator, then the fitness
-        // funnel (failed-test count).
-        for (ei, cand) in eligible.iter().enumerate() {
-            let mut merged: BTreeMap<Prefix, &PrefixOutcome> = self
-                .cached
-                .iter()
-                .filter(|(p, _)| cand.universe.contains(*p))
-                .map(|(p, o)| (*p, o))
-                .collect();
-            for p in &cand.affected {
-                let run = &guarded[p];
-                let class = run
-                    .classes
-                    .iter()
-                    .find(|cl| cl.members.contains(&ei))
-                    .expect("every candidate lands in exactly one guard class");
-                merged.insert(*p, &class.outcome);
-            }
-            let sim = &cand.sim;
-            let fibs = if self.fib_base.len() == sim.models().len() {
-                let mut fibs = self.fib_base.to_vec();
-                let _ = refresh_base_fibs(&mut fibs, &self.fib_models, sim, &mut arena);
-                for (p, o) in &merged {
-                    match self.fib_frags.get(p) {
-                        Some(frag) if !cand.affected.contains(p) => {
-                            for (i, entry) in frag {
-                                fibs[*i].install(*p, entry.clone());
-                            }
-                        }
-                        _ => {
-                            for (i, entry) in bgp_fragment(o) {
-                                fibs[i].install(*p, entry);
-                            }
-                        }
-                    }
-                }
-                fibs
-            } else {
-                sim.fibs_for(&merged, &mut arena)
-            };
-            fitness[cand.index] = Some(self.verifier.fitness_of(sim, &merged, &fibs, &mut arena));
-        }
-
-        let classes: Vec<(Prefix, Vec<Vec<usize>>)> = guarded
-            .iter()
-            .map(|(p, run)| {
-                (
-                    *p,
-                    run.classes
-                        .iter()
-                        .map(|cl| cl.members.iter().map(|&ei| eligible[ei].index).collect())
-                        .collect(),
-                )
-            })
-            .collect();
-        Some(SymScreen {
-            fitness,
-            classes,
-            eligible: eligible.len(),
-            prefixes_guarded: union.len(),
-            peak_classes: peak,
-            rounds: work.rounds,
-            policy_evals: work.policy_evals,
-            memo_hits: work.memo_hits,
-        })
     }
 }
 
@@ -1325,77 +1076,6 @@ mod tests {
         let (topo, _cfg, spec) = scenario();
         let iv = IncrementalVerifier::new(&topo, &spec);
         assert!(iv.suspend().is_none());
-    }
-
-    /// The symbolic screen's verdicts must equal the concrete
-    /// validator's failed-test counts, candidate by candidate, with
-    /// session-touching candidates refused (None) and the verifier's
-    /// persistent state left untouched.
-    #[test]
-    fn sym_screen_matches_concrete_candidate_verdicts() {
-        let (topo, cfg, spec) = scenario();
-        let mut iv = IncrementalVerifier::new(&topo, &spec);
-        iv.verify(&cfg, None);
-        assert!(iv.sym_ready());
-
-        // c0: benign model-only edit (prefix-list entry) — eligible, passes.
-        let p0 = Patch::single(Edit::Insert {
-            router: RouterId(2),
-            index: cfg.device(RouterId(2)).unwrap().len(),
-            stmt: Stmt::PrefixListEntry {
-                list: "l".into(),
-                index: 10,
-                action: PlAction::Permit,
-                prefix: p("10.4.0.0/16"),
-                ge: None,
-                le: None,
-            },
-        });
-        // c1: swaps R0's origination — eligible, breaks "to-west".
-        let p1 = Patch::single(Edit::Replace {
-            router: RouterId(0),
-            index: 1,
-            stmt: Stmt::Network(p("10.9.0.0/16")),
-        });
-        // c2: session-shaping (peer AS) — must fall back to concrete.
-        let p2 = Patch::single(Edit::Replace {
-            router: RouterId(2),
-            index: 1,
-            stmt: Stmt::PeerAs {
-                peer: acr_cfg::PeerRef::Ip(acr_net_types::Ipv4Addr::new(172, 16, 0, 5)),
-                asn: acr_net_types::Asn(64999),
-            },
-        });
-        let patches = [p0, p1, p2];
-        let cfgs: Vec<NetworkConfig> = patches
-            .iter()
-            .map(|p| p.apply_cloned(&cfg).unwrap())
-            .collect();
-        let cands: Vec<(&NetworkConfig, &Patch)> = cfgs.iter().zip(&patches).collect();
-
-        let screen = iv.sym_screen(&cands).expect("warm verifier screens");
-        assert_eq!(screen.eligible, 2);
-        assert_eq!(screen.fitness[2], None, "session edit must fall back");
-        assert!(screen.prefixes_guarded > 0);
-        for (i, (c, p)) in cands.iter().enumerate() {
-            let concrete = iv.verify_candidate(c, p).failed_count();
-            if let Some(sym) = screen.fitness[i] {
-                assert_eq!(sym, concrete, "candidate {i} verdict diverged");
-            }
-        }
-        assert_eq!(screen.fitness[0], Some(0));
-        assert_eq!(screen.fitness[1], Some(1));
-        // Guard classes cover exactly the eligible candidates per prefix.
-        for (_, classes) in &screen.classes {
-            let mut members: Vec<usize> = classes.iter().flatten().copied().collect();
-            members.sort_unstable();
-            assert_eq!(members, vec![0, 1]);
-        }
-        // The screen is read-only: a committed re-verify still reuses
-        // everything.
-        let v = iv.verify(&cfg, Some(&Patch::new()));
-        assert!(v.all_passed());
-        assert_eq!(iv.last_stats().recomputed, 0);
     }
 
     #[test]

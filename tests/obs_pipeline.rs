@@ -38,12 +38,6 @@ fn repair_fig2(threads: usize, delta: bool) -> RepairReport {
             threads,
             delta,
             cache: Some(Arc::new(SimCache::default())),
-            // The symbolic screen only exists against a delta-compiled
-            // base, so its journal rows would legitimately differ across
-            // the delta axis; pin it off to keep the cross-delta
-            // byte-identity contract exact. (`ci.sh` differences the
-            // ACR_SYM axis cross-process via report digests.)
-            symbolic: false,
             ..RepairConfig::default()
         },
     );
@@ -108,15 +102,26 @@ fn journal_is_deterministic_across_threads_and_delta() {
                 "{label}: repeat runs diverged"
             );
             // Every line is valid JSON with an event; run_start stamps
-            // the schema version.
+            // the schema version. v5 carries no symbolic-screen or
+            // sharding records or fields.
             for line in raw_a.lines() {
                 let v = json::parse(line).expect("journal line must parse");
                 let event = v.get("event").and_then(|e| e.as_str()).unwrap();
-                if event == "run_start" {
-                    assert_eq!(
-                        v.get("schema").and_then(|s| s.as_str()),
-                        Some(journal::SCHEMA)
-                    );
+                assert!(
+                    event != "sym_summary" && event != "shard_summary",
+                    "{label}: v5 journal emitted {event}"
+                );
+                match event {
+                    "run_start" => {
+                        assert_eq!(
+                            v.get("schema").and_then(|s| s.as_str()),
+                            Some(journal::SCHEMA)
+                        );
+                        assert!(v.get("config").unwrap().get("symbolic").is_none());
+                    }
+                    "iteration" => assert!(v.get("sym_validated").is_none()),
+                    "run_end" => assert!(v.get("validations_symbolic").is_none()),
+                    _ => {}
                 }
             }
             bodies.push((label, body(&scrubbed)));
@@ -215,9 +220,6 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
                 strategy: acr::core::Strategy::beam(),
                 cache: Some(Arc::new(SimCache::default())),
                 tags: scenario.tags(),
-                // Pinned off for the same cross-delta byte-identity
-                // reason as `repair_fig2`.
-                symbolic: false,
                 ..RepairConfig::default()
             },
         );

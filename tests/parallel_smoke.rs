@@ -48,12 +48,12 @@ fn oversubscribed_pool_with_evicting_cache_loses_nothing() {
         for it in &report.iterations {
             assert_eq!(
                 it.generated,
-                it.validated + it.cached + it.lint_rejected + it.invalid + it.sym_validated,
+                it.validated + it.cached + it.lint_rejected + it.invalid,
                 "{what}: iteration {} accounting broken: {it:?}",
                 it.iteration
             );
             assert!(
-                it.kept <= it.validated + it.cached + it.sym_validated,
+                it.kept <= it.validated + it.cached,
                 "{what}: kept > verdicts"
             );
         }
@@ -93,7 +93,7 @@ fn degenerate_batches_terminate() {
     let incident = &sample_incidents(&net, 1, 77)[0];
     let report = repair(&net, &incident.broken, 64, 1);
     assert!(
-        report.validations + report.validations_cached + report.validations_symbolic > 0,
+        report.validations + report.validations_cached > 0,
         "a broken network must validate at least one candidate"
     );
 }

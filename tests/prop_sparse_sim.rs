@@ -21,7 +21,7 @@
 
 use acr::prelude::*;
 use acr::workloads::{fig2_incident, try_inject, GeneratedNetwork, TABLE1};
-use acr_sim::{ConvergeEngine, DerivArena, PrefixOutcome, RunOptions, ShardMode};
+use acr_sim::{ConvergeEngine, DerivArena, PrefixOutcome, RunOptions};
 use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig};
 
 fn wan() -> GeneratedNetwork {
@@ -86,11 +86,7 @@ fn run_engine(
     acr_sim::ConvergeWork,
 ) {
     let mut arena = DerivArena::new();
-    let opts = RunOptions {
-        engine,
-        warm: None,
-        shard: ShardMode::Off,
-    };
+    let opts = RunOptions { engine, warm: None };
     let (outcomes, work) = sim.run_prefixes_opts(&sim.universe(), &mut arena, &opts);
     (outcomes, arena, work)
 }
