@@ -25,6 +25,9 @@ cargo test -q
 
 echo "==> cargo test (forced sequential validate, ACR_THREADS=1)"
 ACR_THREADS=1 cargo test -q
+# The lint gate's touched-device verdict against a full-network lint, and
+# the engine's gate through the sequential resolve path.
+ACR_THREADS=1 cargo test -q -p acr-core --test lint_gate
 
 echo "==> cargo test (delta construction off, ACR_DELTA=0)"
 ACR_DELTA=0 cargo test -q --test determinism_differential --test repair_incidents

@@ -19,18 +19,16 @@ use crate::session::NetworkSession;
 use crate::strategy::{crossover, Strategy};
 use crate::templates::{candidates_for_line, CandidateFix, TemplateKind};
 use crate::universal::universal_candidates;
-use crate::validate::{
-    resolve_threads, validate_batch, CandidateOutcome, FlowGate, LintBase, LintMemo,
-};
+use crate::validate::{resolve_threads, validate_batch, CandidateOutcome, FlowGate, LintBase};
 use acr_cfg::{DeviceModel, LineId, NetworkConfig, Patch};
-use acr_lint::Diagnostic;
+use acr_lint::{lint_network, Diagnostic};
 use acr_localize::{localize, localize_boosted, Ranking, SbflFormula};
 use acr_net_types::SplitMix64;
 use acr_obs::metrics::Counter;
-use acr_obs::{journal, json, Stages};
-use acr_sim::ShardedCache;
+use acr_obs::{journal, json, span, Stages};
 use acr_topo::Topology;
 use acr_verify::{IncrementalVerifier, SimCache, Spec, Verification};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -402,8 +400,10 @@ struct Variant {
     verification: Verification,
     fitness: usize,
     /// Lint findings on this variant (empty when linting is off) — they
-    /// boost localization when the variant is expanded.
-    diags: Vec<Diagnostic>,
+    /// boost localization when the variant is expanded. Filled on first
+    /// read ([`RepairEngine::diags_of`]): most kept variants are never
+    /// expanded, and the full lint runs the network-wide flow fixpoint.
+    diags: OnceCell<Vec<Diagnostic>>,
     /// Provenance of `patch`, one segment per operator application.
     segments: Vec<PatchSegment>,
 }
@@ -508,26 +508,6 @@ impl<'a> RepairEngine<'a> {
         let initial_failed = base_verification.failed_count();
         let fp = original.fingerprint();
 
-        // Static baseline: the broken network's own lint findings. The
-        // gate only rejects candidates that introduce *new* error keys —
-        // pre-existing ones may well be the fault under repair. A
-        // session serves the baseline from its per-fingerprint cache
-        // (lint is a pure function of the configuration).
-        let lint_base: Option<Arc<LintBase>> = self.config.lint.then(|| {
-            if let Some(cached) = session.as_mut().and_then(|s| s.lint_for(fp)) {
-                return cached;
-            }
-            let built = Arc::new(LintBase::build(self.topo, original));
-            if let Some(s) = session.as_mut() {
-                s.park_lint(fp, built.clone());
-            }
-            built
-        });
-        let base_diags = lint_base
-            .as_ref()
-            .map(|b| b.diags.clone())
-            .unwrap_or_default();
-
         // Network-wide dataflow facts over the broken base. The
         // localization prior and the journal's flow summary use them
         // unconditionally (so `ACR_FLOW=0` cannot change trajectories);
@@ -546,6 +526,28 @@ impl<'a> RepairEngine<'a> {
                     facts
                 }
             };
+
+        // Static baseline: the broken network's own lint findings. The
+        // gate only rejects candidates that introduce *new* error keys —
+        // pre-existing ones may well be the fault under repair. A
+        // session serves the baseline from its per-fingerprint cache
+        // (lint is a pure function of the configuration). It reuses the
+        // flow facts above, so the commit runs the fixpoint once.
+        let lint_base: Option<Arc<LintBase>> = self.config.lint.then(|| {
+            if let Some(cached) = session.as_mut().and_then(|s| s.lint_for(fp)) {
+                return cached;
+            }
+            let built = Arc::new(LintBase::build(self.topo, original, &flow_facts));
+            if let Some(s) = session.as_mut() {
+                s.park_lint(fp, built.clone());
+            }
+            built
+        });
+        let base_diags = lint_base
+            .as_ref()
+            .map(|b| b.diags.clone())
+            .unwrap_or_default();
+
         let flow_prior = flow_prior(self.spec, &base_verification, &flow_facts);
         let flow_gate = self.config.flow.then(|| FlowGate {
             protected: self.spec.properties.iter().map(|p| p.hs.dst).collect(),
@@ -554,7 +556,6 @@ impl<'a> RepairEngine<'a> {
 
         // Validate-stage plumbing: the memo-cache keys every candidate
         // under (verifier context, committed base, candidate config),
-        // the lint memo is per-run (its verdicts depend on the base),
         // and `threads` sizes the scoped worker pool. A session's
         // cross-job cache takes precedence over the per-run one.
         let ctx_base = (iv.verifier().context_fingerprint(), fp);
@@ -564,7 +565,6 @@ impl<'a> RepairEngine<'a> {
         };
         let cache = cache_arc.as_deref();
         let lint_base = lint_base.as_deref();
-        let lint_memo: LintMemo = ShardedCache::with_capacity(4096);
         let threads = resolve_threads(self.config.threads);
         drop(commit_guard);
 
@@ -610,7 +610,7 @@ impl<'a> RepairEngine<'a> {
                 patch: Patch::new(),
                 fitness: initial_failed,
                 verification: base_verification,
-                diags: base_diags,
+                diags: OnceCell::from(base_diags),
                 segments: Vec::new(),
             }];
             let mut prev_fitness = initial_failed;
@@ -619,22 +619,28 @@ impl<'a> RepairEngine<'a> {
 
             for iteration in 1..=self.config.max_iterations {
                 ITERATIONS.inc();
-                // Ranked suspects for the journal: a pure re-localization of
-                // the current best variant (no RNG draw), computed only when
-                // the journal is on — reports are identical either way.
-                let suspects = if acr_obs::enabled(acr_obs::JOURNAL) {
-                    self.suspects_of(best_of(&population), &flow_prior)
-                } else {
-                    String::new()
-                };
+                // Read once per iteration: the suspects and the iteration
+                // record must agree on whether the journal is on.
+                let journal_on = acr_obs::enabled(acr_obs::JOURNAL);
 
                 // ---- localize + fix: generate candidate full patches -------
-                let fresh: Vec<(Patch, Vec<PatchSegment>)> = {
+                let (suspects, fresh) = {
                     let _g = stages.time("engine.generate", "engine");
-                    self.generate(&population, &iv, &flow_prior, iteration, &mut rng)
+                    // Ranked suspects for the journal: a pure
+                    // re-localization of the current best variant (no RNG
+                    // draw), computed only when the journal is on —
+                    // reports are identical either way.
+                    let suspects = if journal_on {
+                        self.suspects_of(best_of(&population), &flow_prior)
+                    } else {
+                        String::new()
+                    };
+                    let fresh: Vec<(Patch, Vec<PatchSegment>)> = self
+                        .generate(&population, &iv, &flow_prior, iteration, &mut rng)
                         .into_iter()
                         .filter(|(p, _)| seen.insert(p.clone()))
-                        .collect()
+                        .collect();
+                    (suspects, fresh)
                 };
                 let generated = fresh.len();
                 CAND_GENERATED.add(generated as u64);
@@ -666,7 +672,6 @@ impl<'a> RepairEngine<'a> {
                     &mut iv,
                     self.topo,
                     lint_base,
-                    &lint_memo,
                     cache,
                     flow_gate.as_ref(),
                     ctx_base,
@@ -680,7 +685,6 @@ impl<'a> RepairEngine<'a> {
                 // Journal rows for this iteration's candidates, in batch
                 // (candidate-index) order.
                 let mut cand_rows: Vec<String> = Vec::new();
-                let journal_on = acr_obs::enabled(acr_obs::JOURNAL);
                 for (vc, segs) in batch.into_iter().zip(fresh_segments) {
                     let mut row = journal_on.then(|| {
                         json::Obj::new()
@@ -703,7 +707,6 @@ impl<'a> RepairEngine<'a> {
                         CandidateOutcome::Validated {
                             verification,
                             stats,
-                            diags,
                             arena,
                             cached,
                         } => {
@@ -746,14 +749,11 @@ impl<'a> RepairEngine<'a> {
                                 patch: vc.patch,
                                 verification,
                                 fitness,
-                                diags,
+                                diags: OnceCell::new(),
                                 segments: segs,
                             });
                         }
-                        CandidateOutcome::FlowSkipped {
-                            verification,
-                            diags,
-                        } => {
+                        CandidateOutcome::FlowSkipped { verification } => {
                             flow_skipped += 1;
                             // The served verification *is* the base's, so its
                             // fitness equals the previous baseline — never
@@ -777,7 +777,7 @@ impl<'a> RepairEngine<'a> {
                                 patch: vc.patch,
                                 verification,
                                 fitness,
-                                diags,
+                                diags: OnceCell::new(),
                                 segments: segs,
                             });
                         }
@@ -935,13 +935,28 @@ impl<'a> RepairEngine<'a> {
     /// prior rescales lines that sit on a violated property's abstract
     /// derivation path.
     fn rank(&self, variant: &Variant, prior: &BTreeMap<LineId, f64>) -> Ranking {
-        let boosts = boost_map(&variant.diags);
+        let boosts = boost_map(self.diags_of(variant));
         let ranking = if boosts.is_empty() {
             localize(&variant.verification.matrix, self.config.formula)
         } else {
             localize_boosted(&variant.verification.matrix, self.config.formula, &boosts)
         };
         ranking.with_prior(prior)
+    }
+
+    /// A variant's lint findings, linted on first read. Only the
+    /// expansion path reads them ([`RepairEngine::rank`], through
+    /// [`boost_map`]), so only variants that get expanded pay for the
+    /// full lint and its flow fixpoint. It runs inside the
+    /// `engine.generate` stage.
+    fn diags_of<'v>(&self, variant: &'v Variant) -> &'v [Diagnostic] {
+        variant.diags.get_or_init(|| {
+            if !self.config.lint {
+                return Vec::new();
+            }
+            let _s = span!("engine.lint.variant", "engine");
+            lint_network(self.topo, &variant.cfg).diagnostics
+        })
     }
 
     /// Generates candidate *full* patches (relative to the original
@@ -1067,7 +1082,7 @@ impl<'a> RepairEngine<'a> {
         pick_line: Option<u64>,
         _rng: &mut SplitMix64,
     ) -> Vec<CandidateFix> {
-        let boosts = boost_map(&variant.diags);
+        let boosts = boost_map(self.diags_of(variant));
         let ranking = self.rank(variant, prior);
         if ranking.is_empty() {
             return Vec::new();
@@ -1300,7 +1315,10 @@ fn journal_iteration(stats: &IterationStats, suspects: &str, cand_rows: &[String
             .int("flow_skipped", stats.flow_skipped)
             .int("recomputed_prefixes", stats.recomputed_prefixes)
             .int("reused_prefixes", stats.reused_prefixes)
-            .raw("suspects", suspects)
+            .raw(
+                "suspects",
+                if suspects.is_empty() { "[]" } else { suspects },
+            )
             .raw("candidates", &json::array(cand_rows.iter().cloned()))
             .build(),
     );

@@ -3,15 +3,15 @@
 //!
 //! Each iteration hands this module the batch of fresh candidate
 //! patches. Per candidate the stage (1) materializes and re-parses the
-//! configuration, (2) runs the static lint gate, (3) serves the verdict
-//! from the simulation memo-cache when the config fingerprint was seen
-//! before, and (4) otherwise simulates it through the incremental
-//! validator. With `threads > 1` steps 2–4 run on a
-//! `std::thread::scope` worker pool.
+//! configuration, (2) runs the static lint gate on the devices the patch
+//! touched, (3) serves the verdict from the simulation memo-cache when
+//! the config fingerprint was seen before, and (4) otherwise simulates
+//! it through the incremental validator. With `threads > 1` steps 2–4
+//! run on a `std::thread::scope` worker pool.
 //!
 //! **Determinism argument.** A candidate's verdict is a pure function of
 //! (committed base state, candidate config): [`CandidateValidator`]
-//! never mutates the per-prefix memo, lint is stateless, and the
+//! never mutates the per-prefix memo, the lint gate is stateless, and the
 //! memo-cache is only *read* while workers run. Everything order
 //! sensitive is pinned to candidate index order on the coordinating
 //! thread:
@@ -36,12 +36,13 @@
 //! (closures are sorted and deduplicated, anchor checks return booleans),
 //! so repair outcomes are byte-identical.
 
-use acr_cfg::{DeviceModel, NetworkConfig, Patch};
-use acr_lint::{lint_with_models, DiagKey, Diagnostic};
-use acr_net_types::{Prefix, RouterId};
+use acr_cfg::{NetworkConfig, Patch};
+use acr_flow::FlowFacts;
+use acr_lint::{lint_errors, lint_with_facts, DiagKey, Diagnostic};
+use acr_net_types::Prefix;
 use acr_obs::metrics::Counter;
 use acr_obs::span;
-use acr_sim::{DerivArena, ShardedCache};
+use acr_sim::DerivArena;
 use acr_topo::Topology;
 use acr_verify::{
     make_entry, CandidateEntry, CandidateValidator, IncrementalStats, IncrementalVerifier,
@@ -54,43 +55,26 @@ use std::sync::{Arc, Mutex};
 /// The lint baseline of the broken network, shared by every candidate's
 /// gate check.
 pub(crate) struct LintBase {
-    pub models: Vec<DeviceModel>,
-    pub idx: HashMap<RouterId, usize>,
     pub keys: HashSet<DiagKey>,
     pub diags: Vec<Diagnostic>,
 }
 
 impl LintBase {
-    /// Lints `cfg` and captures the baseline the gate compares
-    /// candidates against. A pure function of (topology, configuration),
-    /// so resident sessions cache it by config fingerprint.
-    pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig) -> LintBase {
+    /// Lints `cfg` against its dataflow `facts` (the engine's own, so
+    /// the commit runs the fixpoint once) and captures the baseline the
+    /// gate compares candidates against. A pure function of (topology,
+    /// configuration), so resident sessions cache it by config
+    /// fingerprint.
+    pub(crate) fn build(topo: &Topology, cfg: &NetworkConfig, facts: &FlowFacts) -> LintBase {
         let models = crate::engine::models_of(topo, cfg);
-        let report = lint_with_models(topo, cfg, &models);
-        let idx: HashMap<RouterId, usize> = topo
-            .routers()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id, i))
-            .collect();
+        let report = lint_with_facts(topo, cfg, &models, facts);
         LintBase {
-            models,
-            idx,
             keys: report.keys(),
             diags: report.diagnostics,
         }
     }
 }
 
-/// Per-run lint memo: config fingerprint → (introduces a fresh error,
-/// diagnostics). Lint is a pure function of the candidate config, so
-/// worker threads may insert racily — a dropped insert merely recomputes
-/// the same value later, and nothing in the report depends on whether a
-/// verdict was memoized or recomputed.
-pub(crate) type LintMemo = ShardedCache<u64, Arc<(bool, Vec<Diagnostic>)>>;
-
-static LINT_MEMO_HITS: Counter = Counter::new("lint.memo.hits");
-static LINT_MEMO_MISSES: Counter = Counter::new("lint.memo.misses");
 static LINT_GATE_REJECTED: Counter = Counter::new("lint.gate.rejected");
 static FLOW_GATE_SKIPPED: Counter = Counter::new("flow.gate.skipped");
 
@@ -121,7 +105,6 @@ pub(crate) enum CandidateOutcome {
     Validated {
         verification: Verification,
         stats: IncrementalStats,
-        diags: Vec<Diagnostic>,
         /// Arena the verification's roots resolve in; `None` means the
         /// verifier's persistent arena (sequential compute path).
         arena: Option<DerivArena>,
@@ -132,10 +115,7 @@ pub(crate) enum CandidateOutcome {
     /// invisible to every protected prefix, so the base verification
     /// *is* this candidate's verification (roots resolve in the
     /// persistent arena, where the base was committed).
-    FlowSkipped {
-        verification: Verification,
-        diags: Vec<Diagnostic>,
-    },
+    FlowSkipped { verification: Verification },
 }
 
 /// One batch entry, index-aligned with the incoming patch order.
@@ -158,9 +138,9 @@ enum Plan {
     Dup(usize),
     /// The memo-cache held this fingerprint at batch start.
     Hit(Arc<CandidateEntry>),
-    /// The flow gate proved the patch invisible: lint it, then serve
-    /// the base verification without simulating (and without touching
-    /// the memo-cache — there is nothing to store).
+    /// The flow gate proved the patch invisible: gate it on lint, then
+    /// serve the base verification without simulating (and without
+    /// touching the memo-cache — there is nothing to store).
     Serve,
     /// Simulate.
     Compute,
@@ -179,17 +159,11 @@ enum Resolved {
         /// Pruned payload for the memo-cache (`Some` iff caching is on).
         cache_entry: Option<CandidateEntry>,
         stats: IncrementalStats,
-        diags: Vec<Diagnostic>,
     },
     /// Memo-served.
-    Cached {
-        entry: Arc<CandidateEntry>,
-        diags: Vec<Diagnostic>,
-    },
-    /// Flow-gate served: lint ran (and passed), simulation was skipped.
-    Served {
-        diags: Vec<Diagnostic>,
-    },
+    Cached(Arc<CandidateEntry>),
+    /// Flow-gate served: the lint gate passed, simulation was skipped.
+    Served,
 }
 
 /// Validates a batch of candidate patches against the committed base.
@@ -202,7 +176,6 @@ pub(crate) fn validate_batch(
     iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
     lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
     cache: Option<&SimCache>,
     flow: Option<&FlowGate>,
     ctx_base: (u64, u64),
@@ -288,7 +261,6 @@ pub(crate) fn validate_batch(
                         iv,
                         topo,
                         lint_base,
-                        lint_memo,
                         build_entries,
                     ))
                 }
@@ -322,7 +294,6 @@ pub(crate) fn validate_batch(
                             &mut arena,
                             topo,
                             lint_base,
-                            lint_memo,
                             build_entries,
                         );
                         *slots[k].lock().unwrap() = Some(res);
@@ -348,7 +319,6 @@ pub(crate) fn validate_batch(
                     CandidateOutcome::Validated {
                         verification,
                         stats,
-                        diags,
                         arena,
                         ..
                     } => {
@@ -360,7 +330,6 @@ pub(crate) fn validate_batch(
                         CandidateOutcome::Validated {
                             verification: verification.clone(),
                             stats: *stats,
-                            diags: diags.clone(),
                             arena: arena.clone(),
                             cached: true,
                         }
@@ -368,29 +337,24 @@ pub(crate) fn validate_batch(
                     // Same rendered config as a gate-served candidate:
                     // its verification is the base's too. No cache
                     // promotion — served verdicts are never stored.
-                    CandidateOutcome::FlowSkipped {
-                        verification,
-                        diags,
-                    } => {
+                    CandidateOutcome::FlowSkipped { verification } => {
                         FLOW_GATE_SKIPPED.inc();
                         CandidateOutcome::FlowSkipped {
                             verification: verification.clone(),
-                            diags: diags.clone(),
                         }
                     }
                     CandidateOutcome::Invalid => unreachable!("dups are valid by construction"),
                 }
             }
             Some(Resolved::LintRejected) => CandidateOutcome::LintRejected,
-            Some(Resolved::Served { diags }) => {
+            Some(Resolved::Served) => {
                 FLOW_GATE_SKIPPED.inc();
                 let gate = flow.expect("Serve plans only exist with a gate");
                 CandidateOutcome::FlowSkipped {
                     verification: gate.base.clone(),
-                    diags,
                 }
             }
-            Some(Resolved::Cached { entry, diags }) => {
+            Some(Resolved::Cached(entry)) => {
                 if let Some(c) = cache {
                     c.touch_candidate(key);
                 }
@@ -401,7 +365,6 @@ pub(crate) fn validate_batch(
                         reused: entry.universe,
                         ..IncrementalStats::default()
                     },
-                    diags,
                     arena: Some(entry.arena.clone()),
                     cached: true,
                 }
@@ -411,7 +374,6 @@ pub(crate) fn validate_batch(
                 src,
                 cache_entry,
                 stats,
-                diags,
             }) => {
                 if let (Some(c), Some(entry)) = (cache, cache_entry) {
                     c.insert_candidate(key, entry);
@@ -419,7 +381,6 @@ pub(crate) fn validate_batch(
                 CandidateOutcome::Validated {
                     verification,
                     stats,
-                    diags,
                     arena: src,
                     cached: false,
                 }
@@ -438,33 +399,21 @@ pub(crate) fn validate_batch(
     out
 }
 
-/// Lint verdict for one candidate, memoized by config fingerprint.
-/// Returns `(introduces a fresh error, diagnostics)`.
-fn lint_verdict(
-    it: &Prepared,
-    topo: &Topology,
-    lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
-) -> (bool, Vec<Diagnostic>) {
+/// The lint gate: whether the candidate introduces an Error finding
+/// the broken network does not have. Error rules are device-local (see
+/// `acr_lint::Severity`), so only the patched devices can carry a fresh
+/// one; the untouched devices' findings are the baseline's.
+fn lint_rejects(it: &Prepared, topo: &Topology, lint_base: Option<&LintBase>) -> bool {
     let Some(base) = lint_base else {
-        return (false, Vec::new());
+        return false;
     };
-    if let Some(hit) = lint_memo.peek(&it.fp) {
-        LINT_MEMO_HITS.inc();
-        return (hit.0, hit.1.clone());
+    let _s = span!("engine.lint.gate", "engine");
+    let report = lint_errors(topo, &it.cfg, &it.patch.routers());
+    let rejected = report.errors().any(|d| !base.keys.contains(&d.key()));
+    if rejected {
+        LINT_GATE_REJECTED.inc();
     }
-    LINT_MEMO_MISSES.inc();
-    let mut models = base.models.clone();
-    for r in it.patch.routers() {
-        if let (Some(&i), Some(dc)) = (base.idx.get(&r), it.cfg.device(r)) {
-            models[i] = DeviceModel::from_config(dc);
-        }
-    }
-    let report = lint_with_models(topo, &it.cfg, &models);
-    let fresh_error = report.errors().any(|d| !base.keys.contains(&d.key()));
-    let verdict = (fresh_error, report.diagnostics);
-    lint_memo.insert(it.fp, Arc::new(verdict.clone()));
-    verdict
+    rejected
 }
 
 /// Sequential resolution: computes through the persistent verifier so
@@ -476,20 +425,14 @@ fn resolve_sequential(
     iv: &mut IncrementalVerifier<'_>,
     topo: &Topology,
     lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
     build_entry: bool,
 ) -> Resolved {
-    let (fresh_error, diags) = lint_verdict(it, topo, lint_base, lint_memo);
-    if fresh_error {
-        LINT_GATE_REJECTED.inc();
+    if lint_rejects(it, topo, lint_base) {
         return Resolved::LintRejected;
     }
     match plan {
-        Plan::Hit(entry) => Resolved::Cached {
-            entry: entry.clone(),
-            diags,
-        },
-        Plan::Serve => Resolved::Served { diags },
+        Plan::Hit(entry) => Resolved::Cached(entry.clone()),
+        Plan::Serve => Resolved::Served,
         Plan::Compute => {
             let verification = iv.verify_candidate(&it.cfg, &it.patch);
             let stats = iv.last_stats();
@@ -500,7 +443,6 @@ fn resolve_sequential(
                 src: None,
                 cache_entry,
                 stats,
-                diags,
             }
         }
         Plan::Dup(_) => unreachable!("dups never reach resolve_sequential"),
@@ -518,20 +460,14 @@ fn resolve_worker(
     arena: &mut Option<DerivArena>,
     topo: &Topology,
     lint_base: Option<&LintBase>,
-    lint_memo: &LintMemo,
     build_entry: bool,
 ) -> Resolved {
-    let (fresh_error, diags) = lint_verdict(it, topo, lint_base, lint_memo);
-    if fresh_error {
-        LINT_GATE_REJECTED.inc();
+    if lint_rejects(it, topo, lint_base) {
         return Resolved::LintRejected;
     }
     match plan {
-        Plan::Hit(entry) => Resolved::Cached {
-            entry: entry.clone(),
-            diags,
-        },
-        Plan::Serve => Resolved::Served { diags },
+        Plan::Hit(entry) => Resolved::Cached(entry.clone()),
+        Plan::Serve => Resolved::Served,
         Plan::Compute => {
             let arena = arena.get_or_insert_with(|| base_arena.clone());
             let (verification, stats) = validator.verify_candidate(&it.cfg, &it.patch, arena);
@@ -543,7 +479,6 @@ fn resolve_worker(
                 src: Some(entry.arena.clone()),
                 cache_entry: build_entry.then_some(entry),
                 stats,
-                diags,
             }
         }
         Plan::Dup(_) => unreachable!("dups never reach resolve_worker"),

@@ -29,6 +29,7 @@ use crate::transfer::{abstract_policy, TransferLog};
 use acr_cfg::{DeviceModel, LineId, NetworkConfig};
 use acr_net_types::{Prefix, RouterId};
 use acr_obs::metrics::Counter;
+use acr_obs::span;
 use acr_sim::session::establish;
 use acr_sim::Session;
 use acr_topo::Topology;
@@ -125,6 +126,7 @@ pub fn analyze(topo: &Topology, cfg: &NetworkConfig) -> FlowFacts {
 /// Analyzes against pre-built semantic models (`models` parallel to
 /// `topo.routers()`).
 pub fn analyze_with_models(topo: &Topology, models: &[DeviceModel]) -> FlowFacts {
+    let _s = span!("flow.analyze", "flow");
     let (sessions, _diags) = establish(topo, models);
     let mut session_facts = vec![SessionFacts::default(); sessions.len()];
 

@@ -15,15 +15,24 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// `models` is parallel to `topo.routers()` — the same contract as
-    /// `acr_core::models_of`, so the engine can share its model cache.
+    /// `acr_core::models_of`.
     pub fn new(topo: &'a Topology, cfg: &'a NetworkConfig, models: &'a [DeviceModel]) -> Self {
-        let models = topo
-            .routers()
-            .iter()
-            .zip(models)
-            .map(|(r, m)| (r.id, m))
-            .collect();
-        Ctx { topo, cfg, models }
+        let ids = topo.routers().iter().map(|r| r.id);
+        Self::with_models(topo, cfg, ids.zip(models))
+    }
+
+    /// A context over only the routers `models` names: [`Ctx::devices`]
+    /// yields exactly those, so device-local rules lint just them.
+    pub fn with_models(
+        topo: &'a Topology,
+        cfg: &'a NetworkConfig,
+        models: impl IntoIterator<Item = (RouterId, &'a DeviceModel)>,
+    ) -> Self {
+        Ctx {
+            topo,
+            cfg,
+            models: models.into_iter().collect(),
+        }
     }
 
     /// Every configured device with its semantic model.

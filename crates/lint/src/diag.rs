@@ -14,6 +14,13 @@ use std::fmt;
 /// the needed fix — an inert edit cannot improve fitness — so rejecting
 /// it before simulation is sound. Everything heuristic or cross-device
 /// is a `Warning`: it seeds localization but never vetoes a candidate.
+///
+/// **Error rules are device-local**: each reads only its own device's
+/// model, never the topology, another device or the dataflow facts. The
+/// engine's gate depends on this — it lints only the devices a candidate
+/// patch touched ([`crate::lint_errors`]) — and the equivalence tests in
+/// `tests/table1_detection.rs` and `acr-core`'s `tests/lint_gate.rs`
+/// fail if a cross-device Error rule is added.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     Warning,

@@ -22,7 +22,9 @@
 //!   new [`Severity::Error`] finding is rejected before simulation.
 //!   Error rules flag only semantically inert or dangling constructs
 //!   (see [`Severity`]), so a rejected candidate can never have been
-//!   the needed fix.
+//!   the needed fix. They are also device-local, so the check
+//!   ([`lint_errors`]) lints only the devices the patch touched and
+//!   never runs the network-wide dataflow.
 //!
 //! ```
 //! use acr_cfg::parse::parse_device;
@@ -50,9 +52,12 @@ mod session;
 pub use diag::{DiagKey, Diagnostic, LintReport, RelatedNote, Rule, Severity};
 
 use acr_cfg::{DeviceModel, NetworkConfig};
+use acr_flow::FlowFacts;
+use acr_net_types::RouterId;
 use acr_topo::Topology;
 
-/// Lints a network, building the semantic models itself.
+/// Lints a network, building the semantic models and the dataflow facts
+/// itself.
 pub fn lint_network(topo: &Topology, cfg: &NetworkConfig) -> LintReport {
     let models: Vec<DeviceModel> = topo
         .routers()
@@ -65,18 +70,21 @@ pub fn lint_network(topo: &Topology, cfg: &NetworkConfig) -> LintReport {
             },
         })
         .collect();
-    lint_with_models(topo, cfg, &models)
+    let facts = acr_flow::analyze_with_models(topo, &models);
+    lint_with_facts(topo, cfg, &models, &facts)
 }
 
-/// Lints a network against pre-built semantic models.
-///
-/// `models` must be parallel to `topo.routers()` (the contract of
-/// `acr_core::models_of`) — the repair engine uses this entry point to
-/// re-model only the devices a candidate patch touched.
-pub fn lint_with_models(
+/// Lints a network against pre-built semantic models and their dataflow
+/// facts. `models` must be parallel to `topo.routers()` (the contract of
+/// `acr_core::models_of`) and `facts` must be
+/// `acr_flow::analyze_with_models(topo, models)`: the repair engine
+/// analyzes the broken network once and shares the facts between its
+/// localization prior and its lint baseline.
+pub fn lint_with_facts(
     topo: &Topology,
     cfg: &NetworkConfig,
     models: &[DeviceModel],
+    facts: &FlowFacts,
 ) -> LintReport {
     let ctx = ctx::Ctx::new(topo, cfg, models);
     let mut diagnostics = Vec::new();
@@ -84,8 +92,35 @@ pub fn lint_with_models(
     policy::run(&ctx, &mut diagnostics);
     pbr::run(&ctx, &mut diagnostics);
     session::run(&ctx, &mut diagnostics);
-    let facts = acr_flow::analyze_with_models(topo, models);
-    flow::run(&ctx, &facts, &mut diagnostics);
+    flow::run(&ctx, facts, &mut diagnostics);
+    sorted(diagnostics)
+}
+
+/// The [`Severity::Error`] findings of `devices` alone: equal to
+/// `lint_network(topo, cfg).errors()` restricted to those devices.
+///
+/// Every Error rule lives in the device-local rule modules, which read
+/// nothing but their own device's model (see [`Severity`]), so this
+/// models and lints only `devices` and skips the network-wide dataflow.
+/// The repair engine gates each candidate on the devices its patch
+/// touched: the untouched ones keep the baseline's findings.
+pub fn lint_errors(topo: &Topology, cfg: &NetworkConfig, devices: &[RouterId]) -> LintReport {
+    let models: Vec<(RouterId, DeviceModel)> = devices
+        .iter()
+        .filter_map(|&r| Some((r, DeviceModel::from_config(cfg.device(r)?))))
+        .collect();
+    let ctx = ctx::Ctx::with_models(topo, cfg, models.iter().map(|(r, m)| (*r, m)));
+    let mut diagnostics = Vec::new();
+    refs::run(&ctx, &mut diagnostics);
+    policy::run(&ctx, &mut diagnostics);
+    pbr::run(&ctx, &mut diagnostics);
+    diagnostics.retain(|d| d.severity == Severity::Error);
+    sorted(diagnostics)
+}
+
+/// The report order: by device, span, rule, then message; duplicates
+/// dropped.
+fn sorted(mut diagnostics: Vec<Diagnostic>) -> LintReport {
     diagnostics.sort_by(|a, b| {
         (a.device, a.span, a.rule)
             .cmp(&(b.device, b.span, b.rule))
@@ -377,21 +412,5 @@ mod tests {
             .expect("duplicate flagged");
         assert_eq!(d.device, b);
         assert_eq!(d.related.len(), 1);
-    }
-
-    #[test]
-    fn lint_with_models_matches_lint_network() {
-        let (topo, cfg, _, _) = pair(
-            "bgp 65001\n peer 172.16.0.2 as-number 64999\n",
-            "bgp 65002\n peer 172.16.0.1 as-number 65001\n",
-        );
-        let models: Vec<_> = topo
-            .routers()
-            .iter()
-            .map(|r| acr_cfg::DeviceModel::from_config(cfg.device(r.id).unwrap()))
-            .collect();
-        let a = lint_network(&topo, &cfg);
-        let b = lint_with_models(&topo, &cfg, &models);
-        assert_eq!(a.keys(), b.keys());
     }
 }

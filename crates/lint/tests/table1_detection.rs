@@ -4,7 +4,9 @@
 //! produces **zero** findings — the soundness bar the repair-engine gate
 //! relies on.
 
-use acr_lint::{lint_network, Rule};
+use acr_cfg::DeviceModel;
+use acr_lint::{lint_errors, lint_network, lint_with_facts, Diagnostic, Rule};
+use acr_net_types::RouterId;
 use acr_topo::gen;
 use acr_workloads::{fig2::fig2_incident, generate, try_inject, FaultType, TABLE1};
 use std::collections::BTreeSet;
@@ -142,4 +144,58 @@ fn table1_mapping_names_real_fault_classes() {
             );
         }
     }
+}
+
+/// The locality contract the repair engine's gate depends on (see
+/// `Severity`): over every device, the Error-rule entry point finds
+/// exactly the full pass's errors, and linting against precomputed flow
+/// facts equals linting from scratch. Checked on every Table-1 incident
+/// and on Figure 2 broken and intended.
+#[test]
+fn error_entry_point_and_shared_facts_match_the_full_pass() {
+    let net = generate(&gen::wan(4, 8));
+    let mut cases = Vec::new();
+    for (fault, _) in TABLE1 {
+        for seed in 0..6u64 {
+            if let Some(incident) = try_inject(fault, &net, seed) {
+                cases.push((
+                    format!("{fault:?} seed {seed}"),
+                    net.topo.clone(),
+                    incident.broken,
+                ));
+            }
+        }
+    }
+    let fig2 = fig2_incident();
+    cases.push(("fig2 broken".into(), fig2.topo.clone(), fig2.broken.clone()));
+    cases.push((
+        "fig2 intended".into(),
+        fig2.topo.clone(),
+        fig2.intended.clone(),
+    ));
+
+    let mut errors_seen = 0usize;
+    for (label, topo, cfg) in &cases {
+        let full = lint_network(topo, cfg);
+        let all: Vec<RouterId> = topo.routers().iter().map(|r| r.id).collect();
+        let errors = lint_errors(topo, cfg, &all);
+        let expected: Vec<Diagnostic> = full.errors().cloned().collect();
+        assert_eq!(
+            errors.diagnostics, expected,
+            "{label}: Error-rule entry point"
+        );
+        errors_seen += expected.len();
+
+        let models: Vec<DeviceModel> = topo
+            .routers()
+            .iter()
+            .map(|r| DeviceModel::from_config(cfg.device(r.id).expect("every router configured")))
+            .collect();
+        let shared = lint_with_facts(topo, cfg, &models, &acr_flow::analyze(topo, cfg));
+        assert_eq!(
+            shared.diagnostics, full.diagnostics,
+            "{label}: lint_with_facts"
+        );
+    }
+    assert!(errors_seen > 0, "no incident carried an Error finding");
 }

@@ -268,3 +268,40 @@ fn beam_journal_is_deterministic_and_carries_attribution() {
     }
     obs::disable_all();
 }
+
+/// Every journal line is valid JSON even when the journal is switched
+/// on and off while repairs run: an iteration reads the flag once, so
+/// its record never carries a half-computed field (an empty `suspects`
+/// used to render as `"suspects":` with no value).
+#[test]
+fn journal_lines_parse_when_the_journal_toggles_mid_run() {
+    let _g = lock();
+    obs::disable_all();
+    journal::capture_to_memory();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut on = false;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                on = !on;
+                obs::set_flags(if on { obs::JOURNAL } else { 0 });
+                std::thread::sleep(std::time::Duration::from_micros(150));
+            }
+        });
+        for _ in 0..20 {
+            repair_fig2(1, true);
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    });
+    obs::disable_all();
+    let raw = journal::take_captured();
+    let mut iterations = 0usize;
+    for line in raw.lines() {
+        let v = json::parse(line).unwrap_or_else(|e| panic!("invalid journal line {line}: {e:?}"));
+        if v.get("event").and_then(|e| e.as_str()) == Some("iteration") {
+            assert!(v.get("suspects").and_then(|s| s.as_arr()).is_some());
+            iterations += 1;
+        }
+    }
+    assert!(iterations > 0, "no iteration record was journaled");
+}
